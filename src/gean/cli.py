@@ -161,8 +161,7 @@ def cmd_caption(args):
 
 def cmd_eval_gaze(args):
     out = _out_dir(args)
-    _, clips = data.load_dataset(args.manifest)
-    manifest = json.loads(Path(args.manifest).read_text(encoding="utf-8"))
+    manifest, clips = data.load_dataset(args.manifest)
     frame_size = tuple(manifest["frame_size"])
     for clip in clips:
         clip["frame_size"] = frame_size

@@ -114,16 +114,23 @@ def load_checkpoint(path):
 # Manifest
 # ---------------------------------------------------------------------------
 
-def load_manifest(path):
-    """Load and validate a dataset manifest (fail-fast on shape errors)."""
-    path = Path(path)
+def load_dataset(manifest_path):
+    """Read a dataset manifest and every clip it lists, each feature file
+    once; fail fast on a missing or wrongly shaped feature file.
+
+    Returns (manifest, clips): the parsed manifest JSON and one record of
+    arrays per clip.
+    """
+    path = Path(manifest_path)
     with open(path, encoding="utf-8") as f:
         manifest = json.load(f)
     root = path.parent
+    clips = []
     for clip in manifest["clips"]:
         n = clip["n_frames"]
         if n < 1:
             raise ContractError("clip %s has no frames" % clip["id"])
+        out = {"id": clip["id"], "n_frames": n}
         for channel, expect in (("scene", (n, 1024)),
                                 ("motion", (n, 7, 7, 1024)),
                                 ("fovea", (n, 7, 7, 1024))):
@@ -136,31 +143,15 @@ def load_manifest(path):
                 raise ContractError(
                     "clip %s: %s features have shape %s, expected %s"
                     % (clip["id"], channel, arr.shape, expect))
-        if clip.get("fixations") and not (root / clip["fixations"]).exists():
-            raise ContractError("clip %s: fixation file missing" % clip["id"])
-    return manifest
-
-
-def load_clip(manifest_path, clip):
-    """Materialize one manifest clip record into arrays."""
-    root = Path(manifest_path).parent
-    out = {
-        "id": clip["id"],
-        "n_frames": clip["n_frames"],
-        "scene": read_feature_file(root / clip["features"]["scene"]),
-        "motion": read_feature_file(root / clip["features"]["motion"]),
-        "fovea": read_feature_file(root / clip["features"]["fovea"]),
-        "captions": clip.get("captions", []),
-        "fixations": {},
-    }
-    if clip.get("fixations"):
-        out["fixations"] = read_fixations(root / clip["fixations"])
-    return out
-
-
-def load_dataset(manifest_path):
-    manifest = load_manifest(manifest_path)
-    clips = [load_clip(manifest_path, c) for c in manifest["clips"]]
+            out[channel] = arr
+        out["captions"] = clip.get("captions", [])
+        out["fixations"] = {}
+        if clip.get("fixations"):
+            if not (root / clip["fixations"]).exists():
+                raise ContractError("clip %s: fixation file missing"
+                                    % clip["id"])
+            out["fixations"] = read_fixations(root / clip["fixations"])
+        clips.append(out)
     return manifest, clips
 
 

@@ -12,10 +12,11 @@ from .optim import AdamState, init_orthogonal, init_xavier, resolve_seed
 from .pools import (DEFAULT_LAMBDA, POOL_FOVEA, POOL_MOTION, POOL_SCENE,
                     attend_features, build_pool, fixed_gaze, spatial_attention)
 from .rgp import predict_gaze
-from .tensor import Parameter, Tape, Tensor, no_grad
+from .tensor import Parameter, ParameterSet, Tape, Tensor, no_grad
 from .text import build_vocab, tokenize
 
 CHANNELS = ("scene", "motion", "fovea")
+DROPOUT = 0.5  # rate on the fused features q while training
 
 
 @dataclass
@@ -38,28 +39,14 @@ class CaptionTrainConfig:
     steps: int = 5000
     seed: int = None
     l2_coeff: float = 1e-5
-    dropout: float = 0.5
     max_len: int = 80
     lam: float = DEFAULT_LAMBDA
     gaze: str = "learned"
     eval_every: int = 100  # greedy-decode training clips; stop when exact
 
 
-class DecoderParams:
+class DecoderParams(ParameterSet):
     """All trainable tensors of the decoder, keyed by name."""
-
-    def __init__(self, params, config):
-        self.params = params
-        self.config = config
-
-    def __getattr__(self, name):
-        params = self.__dict__["params"]
-        if name in params:
-            return params[name]
-        raise AttributeError(name)
-
-    def all(self):
-        return list(self.params.values())
 
     def weight_matrices(self):
         return [p for n, p in self.params.items() if not n.startswith("b_")]
@@ -100,22 +87,15 @@ class DecoderParams:
         add("b_out", (v,), "zero")
         return cls(params, cfg)
 
-    def state_dict(self):
-        return {n: p.data for n, p in self.params.items()}
-
-    def load_state_dict(self, arrays):
-        for n, p in self.params.items():
-            p.data = np.array(arrays[n], dtype=p.data.dtype)
-
 
 class DecoderState:
-    """Hidden states plus the previous word and step counter."""
+    """Hidden states, the previous word, and the last step's temporal
+    attention weights per channel."""
 
-    def __init__(self, h_att, h_m, prev_word, t=1, betas=None):
+    def __init__(self, h_att, h_m, prev_word, betas=None):
         self.h_att = h_att
         self.h_m = h_m
         self.prev_word = prev_word
-        self.t = t
         self.betas = betas or {}
 
     @classmethod
@@ -148,8 +128,11 @@ def temporal_attention(pool, h_att, params, channel):
     Returns (u, beta): u = sum_tau beta_tau * v_tau with
     beta = softmax(w . stanh(Wq v + Uq h_att + bq)).
     """
-    pool = pool if isinstance(pool, Tensor) else Tensor(pool)
     p = params.params
+    if not isinstance(pool, Tensor):
+        # numpy pools (build_clip_pools gives float64) run in the
+        # weights' dtype, so training and decoding compute alike
+        pool = Tensor(pool, dtype=p["wq_%s" % channel].data.dtype)
     keys = T.stanh(T.matmul(pool, T.transpose(p["wq_%s" % channel]))
                    + T.matmul(p["uq_%s" % channel], h_att)
                    + p["b_q_%s" % channel])
@@ -167,7 +150,7 @@ def aggregate(u_s, u_m, u_f, h_att, params, dropout_on=False, rng=None):
                     T.matmul(p["wg_motion"], u_m),
                     T.matmul(p["wg_fovea"], u_f)])
     q = T.stanh((cat + p["b_g"]) * T.matmul(p["u_g"], h_att))
-    return T.dropout(q, 0.5, rng, dropout_on)
+    return T.dropout(q, DROPOUT, rng, dropout_on)
 
 
 def decode_step(state, pools, params, dropout_on=False, rng=None):
@@ -187,7 +170,7 @@ def decode_step(state, pools, params, dropout_on=False, rng=None):
                   h_att, params, dropout_on, rng)
     h_m = _gru(params, "mm", T.concat([q, emb]), state.h_m)
     logits = T.matmul(params.w_out, h_m) + params.b_out
-    next_state = DecoderState(h_att, h_m, state.prev_word, state.t + 1, betas)
+    next_state = DecoderState(h_att, h_m, state.prev_word, betas)
     return logits, next_state
 
 
@@ -247,8 +230,7 @@ def teacher_forced_loss(pools, token_ids, params, vocab, l2_coeff=0.0,
 
 
 def build_clip_pools(scene, motion, fovea, rgp_params=None, gaze="learned",
-                     lam=DEFAULT_LAMBDA, seed=0,
-                     sizes=(POOL_SCENE, POOL_MOTION, POOL_FOVEA)):
+                     lam=DEFAULT_LAMBDA, seed=0):
     """Per-clip feature pools; motion/fovea frames are gaze-weighted.
 
     gaze: 'learned' (needs rgp_params) or a fixed_gaze kind.
@@ -264,14 +246,13 @@ def build_clip_pools(scene, motion, fovea, rgp_params=None, gaze="learned",
     v_m = np.stack([attend_features(a, f) for a, f in zip(alphas, motion)])
     v_f = np.stack([attend_features(a, f) for a, f in zip(alphas, fovea)])
     return {
-        "scene": build_pool(np.asarray(scene, dtype=np.float64), sizes[0]),
-        "motion": build_pool(v_m, sizes[1]),
-        "fovea": build_pool(v_f, sizes[2]),
+        "scene": build_pool(np.asarray(scene, dtype=np.float64), POOL_SCENE),
+        "motion": build_pool(v_m, POOL_MOTION),
+        "fovea": build_pool(v_f, POOL_FOVEA),
     }
 
 
-def train_captioner(dataset, rgp_params, config=None, decoder_config=None,
-                    vocab=None):
+def train_captioner(dataset, rgp_params, config=None):
     """Train the decoder on (pools, caption) pairs with the gaze model
     frozen. Returns (params, vocab, loss history)."""
     cfg = config or CaptionTrainConfig()
@@ -282,10 +263,8 @@ def train_captioner(dataset, rgp_params, config=None, decoder_config=None,
     seed = resolve_seed(cfg.seed)
     rng = np.random.default_rng(seed)
 
-    if vocab is None:
-        vocab = build_vocab([c for clip in dataset for c in clip["captions"]])
-    dcfg = decoder_config or DecoderConfig(vocab_size=len(vocab))
-    params = DecoderParams.create(rng, dcfg)
+    vocab = build_vocab([c for clip in dataset for c in clip["captions"]])
+    params = DecoderParams.create(rng, DecoderConfig(vocab_size=len(vocab)))
 
     pairs = []
     clip_refs = []
@@ -293,7 +272,6 @@ def train_captioner(dataset, rgp_params, config=None, decoder_config=None,
         pools = build_clip_pools(clip["scene"], clip["motion"], clip["fovea"],
                                  rgp_params, cfg.gaze, cfg.lam,
                                  seed=seed + i)
-        pools = {k: Tensor(v.astype(np.float32)) for k, v in pools.items()}
         refs = [vocab.encode(tokenize(c)) for c in clip["captions"]]
         clip_refs.append((pools, refs))
         for ids in refs:
@@ -305,7 +283,7 @@ def train_captioner(dataset, rgp_params, config=None, decoder_config=None,
         pools, ids = pairs[step % len(pairs)]
         with Tape() as tape:
             loss = teacher_forced_loss(pools, ids, params, vocab,
-                                       cfg.l2_coeff, dropout_on=cfg.dropout > 0,
+                                       cfg.l2_coeff, dropout_on=True,
                                        rng=rng, max_len=cfg.max_len)
             tape.backward(loss)
         opt.step(params.all())

@@ -154,14 +154,6 @@ def gt_eval_map(fixations, height, width):
     return normalize_minmax(gaussian_blur(acc, EVAL_GT_SIGMA))
 
 
-def make_eval_pair(pred, fixations, height, width):
-    """Build (pred_eval, gt_eval) full-resolution maps in [0,1]."""
-    if height < GRID or width < GRID:
-        raise ContractError("frame size must be >= %dx%d" % (GRID, GRID))
-    return (pred_eval_map(pred, height, width),
-            gt_eval_map(fixations, height, width))
-
-
 def mirror_augment(features, targets):
     """Horizontally flip a (N,7,7,C) feature sequence and its gaze targets."""
     features = np.asarray(features)

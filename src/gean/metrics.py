@@ -77,8 +77,7 @@ def sauc(saliency, fixations, shuffle_pool, n_splits=10, seed=0):
     return float(np.mean(scores))
 
 
-def eval_protocol(clips, predictor, n_sets=10, set_size=3000, seed=0,
-                  sauc_splits=10):
+def eval_protocol(clips, predictor, n_sets=10, set_size=3000, seed=0):
     """Sampled gaze-evaluation protocol.
 
     Draws `n_sets` uniform random sets of `set_size` eligible frames,
@@ -132,8 +131,7 @@ def eval_protocol(clips, predictor, n_sets=10, set_size=3000, seed=0,
                     "Sim": sim(pred_eval, gt_eval),
                     "CC": cc(pred_eval, gt_eval),
                     "AUC": auc_judd(pred_eval, pix),
-                    "sAUC": sauc(pred_eval, pix, shuffle or pix,
-                                 n_splits=sauc_splits, seed=seed),
+                    "sAUC": sauc(pred_eval, pix, shuffle or pix, seed=seed),
                 }
             for name, value in cache[ci, fi].items():
                 per_set[name].append(value)
@@ -149,6 +147,16 @@ def eval_protocol(clips, predictor, n_sets=10, set_size=3000, seed=0,
 
 def _ngrams(tokens, n):
     return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+
+
+def _clip_counts(counts, references, n):
+    """Clip each candidate n-gram count to its largest count in any one
+    reference."""
+    max_ref = Counter()
+    for ref in references:
+        max_ref |= _ngrams(ref, n)
+    return Counter({gram: min(cnt, max_ref[gram])
+                    for gram, cnt in counts.items()})
 
 
 def _closest_ref_len(c, references):
@@ -169,11 +177,7 @@ def bleu(candidate, references, n=4):
         counts = _ngrams(candidate, k)
         if not counts:
             return 0.0
-        max_ref = Counter()
-        for ref in references:
-            for gram, cnt in _ngrams(ref, k).items():
-                max_ref[gram] = max(max_ref[gram], cnt)
-        clipped = sum(min(cnt, max_ref[gram]) for gram, cnt in counts.items())
+        clipped = sum(_clip_counts(counts, references, k).values())
         if clipped == 0:
             return 0.0
         precisions.append(clipped / sum(counts.values()))
@@ -195,12 +199,7 @@ def corpus_bleu(candidates, references_list, n=4):
         r_len += _closest_ref_len(len(candidate), references)
         for k in range(1, n + 1):
             counts = _ngrams(candidate, k)
-            max_ref = Counter()
-            for ref in references:
-                for gram, cnt in _ngrams(ref, k).items():
-                    max_ref[gram] = max(max_ref[gram], cnt)
-            clipped[k - 1] += sum(min(cnt, max_ref[gram])
-                                  for gram, cnt in counts.items())
+            clipped[k - 1] += sum(_clip_counts(counts, references, k).values())
             total[k - 1] += sum(counts.values())
     if c_len == 0 or np.any(total == 0) or np.any(clipped == 0):
         return 0.0
@@ -273,13 +272,7 @@ def cider(candidates, references, max_n=4):
         refs = references[cid]
         score_n = []
         for k in range(1, max_n + 1):
-            cand_counts = _ngrams(candidates[cid], k)
-            max_ref = Counter()
-            for ref in refs:
-                for gram, cnt in _ngrams(ref, k).items():
-                    max_ref[gram] = max(max_ref[gram], cnt)
-            clipped = Counter({g: min(c, max_ref[g])
-                               for g, c in cand_counts.items()})
+            clipped = _clip_counts(_ngrams(candidates[cid], k), refs, k)
             cand_vec = tfidf(clipped, k)
             sims = [cosine(cand_vec, tfidf(_ngrams(ref, k), k))
                     for ref in refs]

@@ -55,10 +55,6 @@ class AdamState:
             p.zero_grad()
 
 
-def adam_step(params, state):
-    state.step(params)
-
-
 def init_xavier(shape, rng, dtype=np.float64):
     """Uniform in +/- sqrt(6 / (fan_in + fan_out)).
 

@@ -10,7 +10,7 @@ from . import tensor as T
 from .errors import ConfigError, ContractError, DimensionError
 from .gaze import mirror_augment
 from .optim import AdamState, init_xavier, resolve_seed
-from .tensor import Parameter, Tape, Tensor, no_grad
+from .tensor import Parameter, ParameterSet, Tape, Tensor, no_grad
 
 
 @dataclass
@@ -30,10 +30,9 @@ class RgpTrainConfig:
     seed: int = None
     mirror_prob: float = 0.5
     target_loss: float = None  # stop early once reached
-    log_every: int = 25
 
 
-class RgpParams:
+class RgpParams(ParameterSet):
     """Parameter set of the gaze predictor.
 
     p_in: 1x1 projection conv; w_*/u_* : 3x3 GRU gate kernels;
@@ -42,19 +41,6 @@ class RgpParams:
 
     NAMES = ("p_in", "w_z", "w_r", "w_h", "u_z", "u_r", "u_h",
              "d1", "d2", "d3", "r")
-
-    def __init__(self, params, config):
-        self.params = params
-        self.config = config
-
-    def __getattr__(self, name):
-        params = self.__dict__["params"]
-        if name in params:
-            return params[name]
-        raise AttributeError(name)
-
-    def all(self):
-        return [self.params[n] for n in self.NAMES]
 
     @classmethod
     def create(cls, rng, config=None, dtype=np.float32):
@@ -72,17 +58,6 @@ class RgpParams:
         params = {name: Parameter(name, init_xavier(shape, rng, dtype))
                   for name, shape in shapes.items()}
         return cls(params, cfg)
-
-    def state_dict(self):
-        return {n: self.params[n].data for n in self.NAMES}
-
-    def load_state_dict(self, arrays):
-        for n in self.NAMES:
-            p = self.params[n]
-            if arrays[n].shape != p.shape:
-                raise DimensionError("checkpoint shape %s != %s for %r"
-                                     % (arrays[n].shape, p.shape, n))
-            p.data = np.array(arrays[n], dtype=p.data.dtype)
 
 
 def _channels(t, start, length):
@@ -124,13 +99,6 @@ def rgp_readout_scores(h, params):
     return T.reshape(y, lead + (g * g,))
 
 
-def rgp_readout(h, params):
-    """49x49 gaze distribution from one hidden state map."""
-    scores = rgp_readout_scores(h, params)
-    g = params.config.out_grid
-    return T.reshape(T.softmax(scores), (g, g))
-
-
 def rgp_forward_scores(features, params):
     """Per-frame readout logits (N, out_grid**2) for a clip.
 
@@ -155,17 +123,14 @@ def rgp_forward_scores(features, params):
     return rgp_readout_scores(T.stack(states), params)
 
 
-def rgp_forward(features, params):
-    """Sequence of N gaze maps (N,49,49), each strictly positive, sum 1."""
-    scores = rgp_forward_scores(features, params)
-    g = params.config.out_grid
-    return T.reshape(T.softmax(scores, axis=-1), (scores.shape[0], g, g))
-
-
 def predict_gaze(features, params):
-    """Inference-only forward; returns a (N,49,49) numpy array."""
+    """Inference-only forward: a (N,49,49) numpy array of gaze maps, each
+    strictly positive with sum 1."""
     with no_grad():
-        return rgp_forward(features, params).data
+        scores = rgp_forward_scores(features, params)
+        g = params.config.out_grid
+        return T.reshape(T.softmax(scores, axis=-1),
+                         (scores.shape[0], g, g)).data
 
 
 def _loss_weights(gts, mask):
@@ -180,18 +145,9 @@ def _loss_weights(gts, mask):
     return w.reshape(gts.shape[0], -1)
 
 
-def rgp_loss(preds, gts, mask):
-    """Mean frame-wise cross-entropy -sum gt*log(pred) over unmasked frames."""
-    p = preds if isinstance(preds, Tensor) else Tensor(preds)
-    n = p.shape[0]
-    w = _loss_weights(gts, mask)
-    logp = T.log(T.reshape(p, (n, w.shape[1])))
-    return -T.tensor_sum(logp * Tensor(w.astype(p.data.dtype)))
-
-
 def rgp_loss_from_scores(scores, gts, mask):
-    """Same loss computed from readout logits via log-softmax (stable in
-    single precision)."""
+    """Mean frame-wise cross-entropy -sum gt*log(softmax(scores)) over the
+    unmasked frames, taken via log-softmax (stable in single precision)."""
     w = _loss_weights(gts, mask)
     logp = T.log_softmax(scores, axis=-1)
     return -T.tensor_sum(logp * Tensor(w.astype(scores.data.dtype)))
@@ -212,15 +168,14 @@ def target_entropy(dataset):
     return total / count
 
 
-def train_rgp(dataset, config=None, model_config=None, params=None):
+def train_rgp(dataset, config=None, model_config=None):
     """Fit the gaze predictor with Adam; one clip per step, optional
     horizontal-mirroring augmentation. Returns (params, loss history)."""
     cfg = config or RgpTrainConfig()
     if not dataset:
         raise ConfigError("empty dataset")
     rng = np.random.default_rng(resolve_seed(cfg.seed))
-    if params is None:
-        params = RgpParams.create(rng, model_config)
+    params = RgpParams.create(rng, model_config)
     opt = AdamState(lr=cfg.lr)
     history = []
     for step in range(cfg.steps):

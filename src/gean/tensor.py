@@ -46,10 +46,6 @@ class Tape:
                 node._backward(node.grad)
 
 
-def _active_tape():
-    return _TAPE_STACK[-1] if _TAPE_STACK else None
-
-
 class no_grad:
     """Context that suppresses tape recording (pure forward math)."""
 
@@ -95,12 +91,6 @@ class Tensor:
             self.grad = np.array(g, dtype=self.data.dtype, copy=True)
         else:
             self.grad += g
-
-    def backward(self):
-        tape = _active_tape()
-        if tape is None:
-            raise ContractError("backward called with no active Tape")
-        tape.backward(self)
 
     def __repr__(self):
         return "Tensor(shape=%s, dtype=%s)" % (self.shape, self.data.dtype)
@@ -148,6 +138,47 @@ class Parameter(Tensor):
 
     def __repr__(self):
         return "Parameter(%r, shape=%s)" % (self.name, self.shape)
+
+
+class ParameterSet:
+    """A model's Parameters keyed by name, plus its config; each Parameter
+    is also an attribute (`params.b_out`). Subclasses define `create`."""
+
+    def __init__(self, params, config):
+        self.params = params
+        self.config = config
+
+    def __getattr__(self, name):
+        params = self.__dict__["params"]
+        if name in params:
+            return params[name]
+        raise AttributeError(name)
+
+    def all(self):
+        return list(self.params.values())
+
+    def state_dict(self):
+        return {n: p.data for n, p in self.params.items()}
+
+    def load_state_dict(self, arrays):
+        """Copy checkpoint arrays in, cast to each Parameter's dtype.
+
+        The names must be exactly this set's and every shape must match;
+        nothing is changed unless all of them do.
+        """
+        missing = sorted(set(self.params) - set(arrays))
+        if missing:
+            raise ContractError("checkpoint lacks parameter %r" % missing[0])
+        extra = sorted(set(arrays) - set(self.params))
+        if extra:
+            raise ContractError("checkpoint has unknown parameter %r"
+                                % extra[0])
+        for n, p in self.params.items():
+            if arrays[n].shape != p.shape:
+                raise DimensionError("checkpoint shape %s != %s for %r"
+                                     % (arrays[n].shape, p.shape, n))
+        for n, p in self.params.items():
+            p.data = np.array(arrays[n], dtype=p.data.dtype)
 
 
 def _as_tensor(x, like=None):
@@ -265,12 +296,6 @@ def tensor_sum(a, axis=None, keepdims=False):
             a.accumulate(np.broadcast_to(ge, a.shape))
 
     return _make(data, (a,), backward, a.requires_grad)
-
-
-def mean(a, axis=None):
-    a = _as_tensor(a)
-    n = a.data.size if axis is None else a.shape[axis]
-    return mul(tensor_sum(a, axis=axis), 1.0 / n)
 
 
 def reshape(a, *shape):
@@ -418,16 +443,6 @@ def stanh(a):
             a.accumulate(g * (1.7159 * 2.0 / 3.0) * (1.0 - inner * inner))
 
     return _make(data, (a,), backward, a.requires_grad)
-
-
-def activation(a, kind):
-    if kind == "sigmoid":
-        return sigmoid(a)
-    if kind == "tanh":
-        return tanh(a)
-    if kind == "stanh":
-        return stanh(a)
-    raise DimensionError("unknown activation kind %r" % (kind,))
 
 
 def log(a):

@@ -7,7 +7,6 @@ from .errors import ConfigError
 BOS = "<BOS>"
 EOS = "<EOS>"
 UNK = "<UNK>"
-SOMEONE = "someone"
 
 _WORDPUNCT = re.compile(r"\w+|[^\w\s]+", re.UNICODE)
 

@@ -2,8 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from gean import data, decoder
 from gean.cli import main
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
@@ -109,6 +111,24 @@ def test_caption_workflow(dataset, tmp_path):
                         .read_text())
     for key in ("bleu1", "bleu4", "rouge_l", "cider"):
         assert key in report
+
+
+def test_caption_rejects_wrong_shaped_checkpoint(dataset, tmp_path, capsys):
+    cfg = {"embed": 4, "hidden": 4, "att": 3, "feat": 1024,
+           "agg_splits": [2, 2, 3]}
+    meta = tmp_path / "decoder_meta.json"
+    meta.write_text(json.dumps({"words": ["a", "b"], "config": cfg}))
+    params = decoder.DecoderParams.create(
+        np.random.default_rng(0), decoder.DecoderConfig(vocab_size=5, **cfg))
+    arrays = params.state_dict()
+    arrays["w_out"] = arrays["w_out"][:, :-1]
+    data.save_checkpoint(tmp_path / "decoder.ckpt", arrays)
+    rc = main(["caption", "--manifest", str(dataset),
+               "--decoder", str(tmp_path / "decoder.ckpt"),
+               "--decoder-meta", str(meta), "--gaze", "uniform",
+               "--out", str(tmp_path / "caps")])
+    assert rc == 1
+    assert "'w_out'" in capsys.readouterr().err
 
 
 def test_reports_use_fixed_decimals(tmp_path):

@@ -9,6 +9,7 @@ from gean.decoder import (CHANNELS, DecoderConfig, DecoderParams,
                           decode_greedy, decode_step, gru_step,
                           teacher_forced_loss, temporal_attention)
 from gean.errors import ConfigError, ContractError
+from gean.pools import POOL_FOVEA, POOL_MOTION, POOL_SCENE
 from gean.tensor import Tensor
 from gean.text import Vocabulary
 
@@ -151,6 +152,19 @@ def test_greedy_length_cap():
     assert out == [3] * 80
 
 
+def test_greedy_numpy_pools_decode_in_weight_dtype():
+    # float32 weights, as trained; build_clip_pools returns float64 numpy
+    params = DecoderParams.create(np.random.default_rng(17), CFG)
+    rng = np.random.default_rng(18)
+    pools = {ch: rng.standard_normal((4, CFG.feat)) for ch in CHANNELS}
+    tensors = {ch: Tensor(p.astype(np.float32)) for ch, p in pools.items()}
+    vocab = _vocab()
+    assert (decode_greedy(pools, params, vocab, max_len=12)
+            == decode_greedy(tensors, params, vocab, max_len=12))
+    logits, _ = decode_step(DecoderState.initial(0, CFG), pools, params)
+    assert logits.data.dtype == np.float32
+
+
 def test_greedy_tie_lowest_index():
     # all-zero logits tie everywhere; argmax resolves to the lowest index
     params = make_params(zero=True)
@@ -204,11 +218,10 @@ def test_build_clip_pools_fixed_gaze_shapes():
     scene = rng.standard_normal((n, 8))
     motion = rng.standard_normal((n, 7, 7, 8))
     fovea = rng.standard_normal((n, 7, 7, 8))
-    pools = build_clip_pools(scene, motion, fovea, gaze="uniform",
-                             sizes=(4, 5, 5))
-    assert pools["scene"].shape == (4, 8)
-    assert pools["motion"].shape == (5, 8)
-    assert pools["fovea"].shape == (5, 8)
+    pools = build_clip_pools(scene, motion, fovea, gaze="uniform")
+    assert pools["scene"].shape == (POOL_SCENE, 8)
+    assert pools["motion"].shape == (POOL_MOTION, 8)
+    assert pools["fovea"].shape == (POOL_FOVEA, 8)
     # uniform gaze averages each frame's 7x7 grid
     np.testing.assert_allclose(pools["motion"][0],
                                motion[0].mean(axis=(0, 1)), atol=1e-9)

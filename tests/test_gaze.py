@@ -7,7 +7,7 @@ import pytest
 from gean.errors import DegenerateMapError, NoFixations
 from gean.gaze import (FixationRecord, bilinear_upsample, build_fixation_map,
                        fixation_pixels, gaussian_blur, gaussian_kernel_1d,
-                       gt_eval_map, make_eval_pair, make_training_target,
+                       gt_eval_map, make_training_target,
                        mirror_augment, normalize_l1, normalize_minmax,
                        pred_eval_map, read_fixations, write_fixations)
 
@@ -146,9 +146,10 @@ def test_gt_eval_unimodal_at_shared_pixel():
     assert gt.min() == 0.0 and gt.max() == 1.0
 
 
-def test_make_eval_pair_shapes():
+def test_eval_map_shapes():
     pred = make_training_target([fix(0, 0, 0.3, 0.6)])
-    pe, ge = make_eval_pair(pred, [fix(0, 0, 0.3, 0.6)], 98, 120)
+    pe = pred_eval_map(pred, 98, 120)
+    ge = gt_eval_map([fix(0, 0, 0.3, 0.6)], 98, 120)
     assert pe.shape == ge.shape == (98, 120)
 
 

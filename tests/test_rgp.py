@@ -7,7 +7,7 @@ import pytest
 from gean import tensor as T
 from gean.errors import ContractError
 from gean.rgp import (RgpConfig, RgpParams, RgpTrainConfig, predict_gaze,
-                      rgp_cell_step, rgp_forward, rgp_loss, rgp_readout,
+                      rgp_cell_step, rgp_loss_from_scores, rgp_readout_scores,
                       target_entropy, train_rgp)
 from gean.tensor import Tensor
 
@@ -22,6 +22,18 @@ def small_params(seed=0, zero=False):
         for p in params.all():
             p.data[...] = 0.0
     return params
+
+
+def rgp_readout(h, params):
+    """49x49 gaze distribution from one hidden state map."""
+    return T.reshape(T.softmax(rgp_readout_scores(h, params)), (49, 49))
+
+
+def rgp_loss(preds, gts, mask):
+    """The gaze loss of probability maps: log_softmax(log p) = log p."""
+    n = len(preds)
+    return rgp_loss_from_scores(Tensor(np.log(preds).reshape(n, -1)), gts,
+                                mask)
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +122,7 @@ def test_forward_repeated_input_converges():
 
 def test_forward_rejects_empty():
     with pytest.raises(ContractError):
-        rgp_forward(np.zeros((0, 7, 7, 4)), small_params())
+        predict_gaze(np.zeros((0, 7, 7, 4)), small_params())
 
 
 # ---------------------------------------------------------------------------

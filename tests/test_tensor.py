@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 
 from gean import tensor as T
-from gean.errors import DimensionError
+from gean.checks import SMALL_DECODER, SMALL_RGP
+from gean.decoder import DecoderParams
+from gean.errors import DimensionError, GeanError
+from gean.rgp import RgpParams
 from gean.tensor import Parameter, Tape, Tensor, grad_check
 
 
@@ -229,3 +232,27 @@ def test_dropout_inverted_scaling():
     out = T.dropout(x, 0.5, rng, True).data
     assert set(np.unique(out)) <= {0.0, 2.0}
     assert abs(out.mean() - 1.0) < 0.05
+
+
+# ---------------------------------------------------------------------------
+# parameter sets
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("cls,config", [(RgpParams, SMALL_RGP),
+                                        (DecoderParams, SMALL_DECODER)])
+@pytest.mark.parametrize("change", ["drop", "add", "reshape"])
+def test_load_state_dict_is_strict(cls, config, change):
+    params = cls.create(np.random.default_rng(0), config)
+    arrays = cls.create(np.random.default_rng(1), config).state_dict()
+    name = "extra" if change == "add" else sorted(arrays)[-1]
+    if change == "drop":
+        del arrays[name]
+    elif change == "add":
+        arrays[name] = np.zeros(2)
+    else:
+        arrays[name] = arrays[name][:-1]
+    before = {n: a.copy() for n, a in params.state_dict().items()}
+    with pytest.raises(GeanError, match=repr(name)):
+        params.load_state_dict(arrays)
+    for n, a in params.state_dict().items():
+        np.testing.assert_array_equal(a, before[n])

@@ -6,8 +6,9 @@ import json
 import numpy as np
 import pytest
 
+from gean import data
 from gean.data import (gaze_training_clips, load_checkpoint, load_dataset,
-                       load_manifest, make_synthetic, read_feature_file,
+                       make_synthetic, read_feature_file,
                        save_checkpoint, write_feature_file)
 from gean.errors import ContractError, FormatError
 from gean.text import Vocabulary, build_vocab, tokenize
@@ -187,4 +188,17 @@ def test_manifest_shape_validation(tmp_path):
     write_feature_file(tmp_path / manifest["clips"][0]["features"]["scene"],
                        bad)
     with pytest.raises(ContractError):
-        load_manifest(mp)
+        load_dataset(mp)
+
+
+def test_dataset_reads_each_feature_file_once(tmp_path, monkeypatch):
+    mp = make_synthetic(tmp_path, n_clips=2, n_frames=2, seed=4)
+    reads = []
+
+    def counting_read(path):
+        reads.append(path.name)
+        return read_feature_file(path)
+
+    monkeypatch.setattr(data, "read_feature_file", counting_read)
+    load_dataset(mp)
+    assert sorted(reads) == sorted(p.name for p in tmp_path.glob("*.bin"))
