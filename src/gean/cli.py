@@ -12,6 +12,7 @@ from . import data, decoder, metrics, rgp
 from .errors import GeanError
 from .optim import resolve_seed
 from .pools import DEFAULT_LAMBDA
+from .tensor import require_parameters
 from .text import Vocabulary, tokenize
 
 GAZE_KINDS = ("learned", "uniform", "random", "central", "peripheral")
@@ -53,6 +54,8 @@ def _out_dir(args):
 
 def _load_rgp(path):
     arrays = data.load_checkpoint(path)
+    # the sizes come from the arrays, so check the names before reading them
+    require_parameters(rgp.RgpParams.NAMES, arrays)
     kh, kw, cin, cp = arrays["p_in"].shape
     cfg = rgp.RgpConfig(in_channels=cin, proj_channels=cp,
                         hidden=arrays["u_z"].shape[-1],

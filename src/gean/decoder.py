@@ -8,7 +8,8 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, ContractError
-from .optim import AdamState, init_orthogonal, init_xavier, resolve_seed
+from .optim import (AdamState, finite_loss, init_orthogonal, init_xavier,
+                    resolve_seed)
 from .pools import (DEFAULT_LAMBDA, POOL_FOVEA, POOL_MOTION, POOL_SCENE,
                     attend_features, build_pool, fixed_gaze, spatial_attention)
 from .rgp import predict_gaze
@@ -194,7 +195,7 @@ def l2_penalty(params, coeff):
         return Tensor(0.0)
     total = None
     for p in params.weight_matrices():
-        term = T.tensor_sum(p * p)
+        term = T.sumsq(p)
         total = term if total is None else total + term
     return coeff * total
 
@@ -286,8 +287,8 @@ def train_captioner(dataset, rgp_params, config=None):
                                        cfg.l2_coeff, dropout_on=True,
                                        rng=rng, max_len=cfg.max_len)
             tape.backward(loss)
+        history.append(finite_loss(loss, step))
         opt.step(params.all())
-        history.append(loss.item())
         if cfg.eval_every and (step + 1) % cfg.eval_every == 0:
             if all(decode_greedy(pools, params, vocab, cfg.max_len) in refs
                    for pools, refs in clip_refs):

@@ -208,12 +208,17 @@ def corpus_bleu(candidates, references_list, n=4):
 
 
 def _lcs_len(a, b):
-    dp = np.zeros((len(a) + 1, len(b) + 1), dtype=np.int64)
-    for i, x in enumerate(a):
+    """Longest common subsequence length, one DP row at a time: before
+    row[j + 1] is overwritten it holds the previous row's value, and
+    `diag` holds the previous row's row[j]."""
+    row = [0] * (len(b) + 1)
+    for x in a:
+        diag = 0
         for j, y in enumerate(b):
-            dp[i + 1, j + 1] = dp[i, j] + 1 if x == y else max(dp[i, j + 1],
-                                                               dp[i + 1, j])
-    return int(dp[len(a), len(b)])
+            up = row[j + 1]
+            row[j + 1] = diag + 1 if x == y else max(up, row[j])
+            diag = up
+    return row[-1]
 
 
 def rouge_l(candidate, references, beta=1.2):

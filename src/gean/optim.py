@@ -17,6 +17,16 @@ def resolve_seed(seed=None):
     return 0 if seed is None else int(seed)
 
 
+def finite_loss(loss, step):
+    """The loss as a float; a NaN or infinite loss raises FloatingPointError
+    naming the 1-based step, before the optimizer spreads it."""
+    value = loss.item()
+    if not np.isfinite(value):
+        raise FloatingPointError("non-finite loss %s at training step %d"
+                                 % (value, step + 1))
+    return value
+
+
 class AdamState:
     """Adam with bias correction; moments live per parameter by name."""
 

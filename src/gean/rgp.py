@@ -9,7 +9,7 @@ import numpy as np
 from . import tensor as T
 from .errors import ConfigError, ContractError, DimensionError
 from .gaze import mirror_augment
-from .optim import AdamState, init_xavier, resolve_seed
+from .optim import AdamState, finite_loss, init_xavier, resolve_seed
 from .tensor import Parameter, ParameterSet, Tape, Tensor, no_grad
 
 
@@ -187,8 +187,8 @@ def train_rgp(dataset, config=None, model_config=None):
             scores = rgp_forward_scores(feats.astype(np.float32), params)
             loss = rgp_loss_from_scores(scores, gts, clip["mask"])
             tape.backward(loss)
+        history.append(finite_loss(loss, step))
         opt.step(params.all())
-        history.append(loss.item())
         if cfg.target_loss is not None and step % len(dataset) == len(dataset) - 1:
             recent = history[-len(dataset):]
             if sum(recent) / len(recent) <= cfg.target_loss:

@@ -19,10 +19,18 @@ _TAPE_STACK = []
 
 
 class Tape:
-    """Ordered record of executed operations for one backward sweep."""
+    """Ordered record of executed operations for one backward sweep.
+
+    Gradients of matrix @ vector products whose matrix is a Parameter are
+    not added word by word: each product leaves (g, x) in that Parameter's
+    pending list, and the sweep ends with one matrix product per Parameter,
+    sum_k outer(g_k, x_k) = [g_1 .. g_K] @ [x_1 .. x_K]^T. Parameters are
+    leaves, so no backward step reads their grad before then.
+    """
 
     def __init__(self):
         self._nodes = []
+        self._pending = {}  # Parameter -> [(g, x), ...]
 
     def __enter__(self):
         _TAPE_STACK.append(self)
@@ -41,9 +49,17 @@ class Tape:
             raise ContractError("backward requires a scalar loss, got shape %s"
                                 % (loss.shape,))
         loss.grad = np.ones_like(loss.data)
-        for node in reversed(self._nodes):
-            if node.grad is not None and node._backward is not None:
-                node._backward(node.grad)
+        try:
+            for node in reversed(self._nodes):
+                if node.grad is not None and node._backward is not None:
+                    node._backward(node.grad)
+            for param, pairs in self._pending.items():
+                if pairs:
+                    gs, xs = zip(*pairs)
+                    param.accumulate(np.stack(gs, axis=1) @ np.stack(xs))
+        finally:
+            for pairs in self._pending.values():
+                pairs.clear()
 
 
 class no_grad:
@@ -166,9 +182,7 @@ class ParameterSet:
         The names must be exactly this set's and every shape must match;
         nothing is changed unless all of them do.
         """
-        missing = sorted(set(self.params) - set(arrays))
-        if missing:
-            raise ContractError("checkpoint lacks parameter %r" % missing[0])
+        require_parameters(self.params, arrays)
         extra = sorted(set(arrays) - set(self.params))
         if extra:
             raise ContractError("checkpoint has unknown parameter %r"
@@ -179,6 +193,13 @@ class ParameterSet:
                                      % (arrays[n].shape, p.shape, n))
         for n, p in self.params.items():
             p.data = np.array(arrays[n], dtype=p.data.dtype)
+
+
+def require_parameters(names, arrays):
+    """Raise ContractError naming the first (sorted) name not in arrays."""
+    missing = sorted(set(names) - set(arrays))
+    if missing:
+        raise ContractError("checkpoint lacks parameter %r" % missing[0])
 
 
 def _as_tensor(x, like=None):
@@ -250,11 +271,17 @@ def matmul(a, b):
         data = a.data @ b.data
     except ValueError as e:
         raise DimensionError(str(e)) from None
+    pending = None  # W @ x with W a Parameter: summed when the sweep ends
+    if (isinstance(a, Parameter) and a.requires_grad and a.data.ndim == 2
+            and b.data.ndim == 1 and _recording()):
+        pending = _TAPE_STACK[-1]._pending.setdefault(a, [])
 
     def backward(g):
         ad, bd = a.data, b.data
         if ad.ndim == 2 and bd.ndim == 1:
-            if a.requires_grad:
+            if pending is not None:
+                pending.append((g, bd))
+            elif a.requires_grad:
                 a.accumulate(np.outer(g, bd))
             if b.requires_grad:
                 b.accumulate(ad.T @ g)
@@ -294,6 +321,19 @@ def tensor_sum(a, axis=None, keepdims=False):
         else:
             ge = g if keepdims else np.expand_dims(g, axis)
             a.accumulate(np.broadcast_to(ge, a.shape))
+
+    return _make(data, (a,), backward, a.requires_grad)
+
+
+def sumsq(a):
+    """Sum of squares of all elements, as one dot product."""
+    a = _as_tensor(a)
+    flat = a.data.reshape(-1)
+    data = np.dot(flat, flat)
+
+    def backward(g):
+        if a.requires_grad:
+            a.accumulate((2 * g) * a.data)
 
     return _make(data, (a,), backward, a.requires_grad)
 

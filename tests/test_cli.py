@@ -1,6 +1,7 @@
 """End-to-end command-line tests on a tiny synthetic dataset."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -129,6 +130,37 @@ def test_caption_rejects_wrong_shaped_checkpoint(dataset, tmp_path, capsys):
                "--out", str(tmp_path / "caps")])
     assert rc == 1
     assert "'w_out'" in capsys.readouterr().err
+
+
+def test_predict_gaze_rejects_checkpoint_missing_sizing_parameter(
+        dataset, tmp_path, capsys):
+    rc = main(["train-rgp", "--manifest", str(dataset), "--out",
+               str(tmp_path / "rgp"), "--steps", "1", "--seed", "0"])
+    assert rc == 0
+    arrays = data.load_checkpoint(tmp_path / "rgp" / "rgp.ckpt")
+    del arrays["d2"]
+    data.save_checkpoint(tmp_path / "rgp.ckpt", arrays)
+    capsys.readouterr()
+    rc = main(["predict-gaze", "--manifest", str(dataset),
+               "--rgp", str(tmp_path / "rgp.ckpt"),
+               "--out", str(tmp_path / "pred")])
+    assert rc == 1
+    assert "'d2'" in capsys.readouterr().err
+
+
+def test_train_rgp_non_finite_loss_exit_2(dataset, tmp_path, capsys):
+    root = tmp_path / "data"
+    shutil.copytree(dataset.parent, root)
+    path = root / "clip000_motion.bin"
+    motion = data.read_feature_file(path)
+    motion[1, 0, 0, 0] = np.nan
+    data.write_feature_file(path, motion)
+    out = tmp_path / "rgp"
+    rc = main(["train-rgp", "--manifest", str(root / "manifest.json"),
+               "--out", str(out), "--steps", "2", "--seed", "0"])
+    assert rc == 2
+    assert "non-finite loss nan at training step 1" in capsys.readouterr().err
+    assert not (out / "train_rgp.json").exists()
 
 
 def test_reports_use_fixed_decimals(tmp_path):

@@ -9,7 +9,7 @@ import pytest
 
 from gean.errors import ContractError, DegenerateMapError
 from gean.gaze import FixationRecord
-from gean.metrics import (auc_judd, bleu, cc, cider, corpus_bleu,
+from gean.metrics import (_lcs_len, auc_judd, bleu, cc, cider, corpus_bleu,
                           eval_protocol, rouge_l, sauc, sim)
 
 
@@ -241,6 +241,25 @@ def test_rouge_hand_value():
 
 def test_rouge_disjoint():
     assert rouge_l(["a"], [["b"]]) == 0.0
+
+
+def _lcs_len_table(a, b):
+    # the full (len(a)+1) x (len(b)+1) DP table, as the reference
+    dp = np.zeros((len(a) + 1, len(b) + 1), dtype=np.int64)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            dp[i + 1, j + 1] = dp[i, j] + 1 if x == y else max(dp[i, j + 1],
+                                                               dp[i + 1, j])
+    return int(dp[len(a), len(b)])
+
+
+def test_lcs_len_matches_full_table():
+    rng = np.random.default_rng(24)
+    words = ["w%d" % i for i in range(6)]
+    for _ in range(200):
+        a, b = ([str(w) for w in rng.choice(words, rng.integers(0, 31))]
+                for _ in range(2))
+        assert _lcs_len(a, b) == _lcs_len_table(a, b)
 
 
 # ---------------------------------------------------------------------------

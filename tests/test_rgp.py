@@ -199,6 +199,14 @@ def test_train_deterministic_loss_curves():
     assert h1 == h2
 
 
+def test_train_stops_on_non_finite_loss():
+    dataset = _toy_dataset(n_frames=4) + _toy_dataset(seed=1, n_frames=4)
+    dataset[1]["motion"][2, 3, 3, 0] = np.nan
+    cfg = RgpTrainConfig(lr=1e-4, steps=4, seed=0, mirror_prob=0.0)
+    with pytest.raises(FloatingPointError, match="nan at training step 2"):
+        train_rgp(dataset, cfg, model_config=SMALL)
+
+
 def test_target_entropy_uniform():
     gts = np.full((2, 49, 49), 1.0 / 2401.0)
     dataset = [{"targets": gts, "mask": np.ones(2, dtype=bool)}]

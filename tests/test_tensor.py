@@ -220,6 +220,78 @@ def test_unused_parameter_zero_grad():
     assert q.grad is None or np.all(q.grad == 0.0)
 
 
+# ---------------------------------------------------------------------------
+# deferred matvec weight gradients and sumsq
+# ---------------------------------------------------------------------------
+
+def test_matvec_parameter_grads_summed_at_sweep_end():
+    rng = np.random.default_rng(20)
+    P = Parameter("P", rng.standard_normal((3, 4)))
+    v = Parameter("v", rng.standard_normal(4))
+    xs = [Tensor(rng.standard_normal(4)), v, Tensor(rng.standard_normal(4))]
+    cs = [rng.standard_normal(3) for _ in xs]
+    with Tape() as tape:
+        loss = T.sumsq(P)
+        for x, c in zip(xs, cs):
+            loss = loss + T.tensor_sum(T.matmul(P, x) * Tensor(c))
+        tape.backward(loss)
+    expect = 2.0 * P.data + sum(np.outer(c, x.data) for x, c in zip(xs, cs))
+    np.testing.assert_allclose(P.grad, expect, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(v.grad, P.data.T @ cs[1], rtol=0, atol=1e-12)
+
+
+def test_matvec_non_parameter_matrix_grad_check():
+    # transpose(P) and P * 2.0 are intermediates: their gradient must reach
+    # them before their own backward step hands it on to P
+    rng = np.random.default_rng(21)
+    P = Parameter("P", rng.standard_normal((4, 3)))
+    x = Parameter("x", rng.standard_normal(4))
+    y = Parameter("y", rng.standard_normal(3))
+
+    def f():
+        return (T.tensor_sum(T.tanh(T.matmul(T.transpose(P), x)))
+                + T.tensor_sum(T.sigmoid(T.matmul(P * 2.0, y))))
+
+    assert grad_check(f, [P, x, y]) <= 1e-6
+
+
+def test_failed_backward_leaves_nothing_pending():
+    rng = np.random.default_rng(22)
+    P = Parameter("P", rng.standard_normal((3, 4)))
+    v = Parameter("v", rng.standard_normal(4))
+
+    def sweep(tape, fail):
+        x = T.tanh(v)
+        if fail:
+            def boom(g):
+                raise RuntimeError("backward failed")
+            x._backward = boom
+        loss = T.tensor_sum(T.matmul(P, x)) + T.tensor_sum(T.matmul(P, v))
+        tape.backward(loss)
+
+    with Tape() as tape:
+        sweep(tape, False)
+    clean = (P.grad.copy(), v.grad.copy())
+    P.grad = v.grad = None
+    with Tape() as tape:
+        with pytest.raises(RuntimeError):
+            sweep(tape, True)
+    assert P.grad is None
+    v.grad = None
+    with Tape() as tape:
+        sweep(tape, False)
+    np.testing.assert_array_equal(P.grad, clean[0])
+    np.testing.assert_array_equal(v.grad, clean[1])
+
+
+def test_sumsq_value_and_gradient():
+    rng = np.random.default_rng(23)
+    a = Parameter("a", rng.standard_normal((3, 5)))
+    assert T.sumsq(a).item() == pytest.approx(float(np.sum(a.data ** 2)),
+                                              rel=1e-12)
+    assert grad_check(lambda: T.sumsq(a), [a]) <= 1e-6
+
+
 def test_dropout_off_is_identity():
     x = Tensor(np.arange(5, dtype=np.float64))
     out = T.dropout(x, 0.5, None, False)
