@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from . import data, decoder, metrics, rgp
-from .errors import GeanError
+from .errors import ContractError, GeanError
 from .optim import resolve_seed
 from .pools import DEFAULT_LAMBDA
 from .tensor import require_parameters
@@ -67,11 +67,35 @@ def _load_rgp(path):
     return params
 
 
+_META_CONFIG_KEYS = ("embed", "hidden", "att", "feat", "agg_splits")
+
+
+def _positive_ints(value, count):
+    """True if `value` is one positive int (count 1) or a list of `count`."""
+    values = value if isinstance(value, list) and count > 1 else [value]
+    return len(values) == count and all(type(v) is int and v > 0
+                                        for v in values)
+
+
 def _load_decoder(ckpt_path, meta_path):
-    with open(meta_path, encoding="utf-8") as f:
-        meta = json.load(f)
-    vocab = Vocabulary(meta["words"])
-    cfg = decoder.DecoderConfig(vocab_size=len(vocab), **meta["config"])
+    meta = data.load_json(meta_path, "decoder meta")
+    words = meta.get("words") if isinstance(meta, dict) else None
+    if not (isinstance(words, list)
+            and all(isinstance(w, str) for w in words)):
+        raise ContractError("decoder meta %s: 'words' is missing or not a "
+                            "list of strings" % meta_path)
+    config = meta.get("config")
+    if not isinstance(config, dict):
+        raise ContractError("decoder meta %s: 'config' is missing or not an "
+                            "object" % meta_path)
+    for key, value in config.items():
+        count = len(decoder.CHANNELS) if key == "agg_splits" else 1
+        if key not in _META_CONFIG_KEYS or not _positive_ints(value, count):
+            raise ContractError("decoder meta %s: config key %r is unknown or "
+                                "not %d positive integer(s)"
+                                % (meta_path, key, count))
+    vocab = Vocabulary(words)
+    cfg = decoder.DecoderConfig(vocab_size=len(vocab), **config)
     params = decoder.DecoderParams.create(np.random.default_rng(0), cfg)
     params.load_state_dict(data.load_checkpoint(ckpt_path))
     return params, vocab
@@ -132,8 +156,7 @@ def cmd_train_captioner(args):
                                      lam=args.lam, gaze=args.gaze)
     params, vocab, history = decoder.train_captioner(clips, rgp_params, cfg)
     data.save_checkpoint(out / "decoder.ckpt", params.state_dict())
-    cfg_fields = {k: getattr(params.config, k)
-                  for k in ("embed", "hidden", "att", "feat")}
+    cfg_fields = {k: getattr(params.config, k) for k in _META_CONFIG_KEYS}
     cfg_fields["agg_splits"] = list(params.config.agg_splits)
     with open(out / "decoder_meta.json", "w", encoding="utf-8") as f:
         json.dump({"words": vocab.words[3:], "config": cfg_fields},
@@ -165,7 +188,11 @@ def cmd_caption(args):
 def cmd_eval_gaze(args):
     out = _out_dir(args)
     manifest, clips = data.load_dataset(args.manifest)
-    frame_size = tuple(manifest["frame_size"])
+    frame_size = manifest.get("frame_size")
+    if not _positive_ints(frame_size, 2):
+        raise ContractError("manifest %s: 'frame_size' is missing or not 2 "
+                            "positive integers" % args.manifest)
+    frame_size = tuple(frame_size)
     for clip in clips:
         clip["frame_size"] = frame_size
     if args.copy_gt:
@@ -187,8 +214,11 @@ def cmd_eval_gaze(args):
 def cmd_eval_captions(args):
     out = _out_dir(args)
     _, clips = data.load_dataset(args.manifest)
-    with open(args.captions, encoding="utf-8") as f:
-        captions = json.load(f)
+    captions = data.load_json(args.captions, "captions")
+    if not (isinstance(captions, dict)
+            and all(isinstance(c, str) for c in captions.values())):
+        raise ContractError("captions %s is not an object of strings"
+                            % args.captions)
     cands = {c["id"]: tokenize(captions.get(c["id"], "")) for c in clips}
     refs = {c["id"]: [tokenize(r) for r in c["captions"]] for c in clips}
     ids = sorted(cands)

@@ -1,7 +1,18 @@
 """Dataset manifests, binary feature files, checkpoints, and a synthetic
-desk-scale dataset generator standing in for CNN feature extraction."""
+desk-scale dataset generator standing in for CNN feature extraction.
+
+Arrays travel between stages in one binary record,
+
+    magic "GEAN0001" | dtype u8 (0 float32, 1 float64) | ndim u8 |
+    dims u32 x ndim | row-major little-endian payload,
+
+parsed by one reader. A feature file is exactly one record. A checkpoint is,
+per parameter in name order, a u16 name length, the utf-8 name and a record.
+Every malformed file raises `FormatError` naming the path and byte offset.
+"""
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -17,96 +28,96 @@ _DTYPE_CODES = {np.dtype("float32"): 0, np.dtype("float64"): 1}
 
 
 # ---------------------------------------------------------------------------
-# Feature files
+# Array records: a feature file is one record, a checkpoint one per parameter
 # ---------------------------------------------------------------------------
 
-def write_feature_file(path, tensor):
+def _write_record(f, tensor):
     """magic | dtype u8 | ndim u8 | dims u32 x ndim | row-major payload."""
-    if np.asarray(tensor).ndim == 0:
-        raise ContractError("zero-dimensional tensors are not storable")
+    if np.ndim(tensor) == 0 or 0 in np.shape(tensor):
+        raise ContractError("cannot store an empty or 0-d tensor")
     arr = np.ascontiguousarray(tensor)
     if arr.dtype not in _DTYPE_CODES:
         arr = arr.astype(np.float32)
+    f.write(MAGIC)
+    f.write(struct.pack("<BB%dI" % arr.ndim, _DTYPE_CODES[arr.dtype],
+                        arr.ndim, *arr.shape))
+    f.write(arr.astype(arr.dtype.newbyteorder("<")).tobytes())
+
+
+def _read_record(blob, pos, path):
+    """Parse the record that starts at byte `pos` of `blob`, read from
+    `path`; return (array, offset just past the payload)."""
+    if len(blob) < pos + 10:
+        raise FormatError("truncated header in %s" % path, offset=len(blob))
+    if blob[pos:pos + 8] != MAGIC:
+        raise FormatError("bad magic %r in %s" % (blob[pos:pos + 8], path),
+                          offset=pos)
+    code, ndim = struct.unpack_from("<BB", blob, pos + 8)
+    if code not in _DTYPES:
+        raise FormatError("unknown dtype code %d in %s" % (code, path),
+                          offset=pos + 8)
+    if ndim == 0:
+        raise FormatError("zero-dimensional tensor in %s" % path,
+                          offset=pos + 9)
+    start = pos + 10 + 4 * ndim
+    if len(blob) < start:
+        raise FormatError("truncated dims in %s" % path, offset=len(blob))
+    dims = struct.unpack_from("<%dI" % ndim, blob, pos + 10)
+    if 0 in dims:
+        raise FormatError("zero extent in dims %s in %s" % (dims, path),
+                          offset=pos + 10)
+    count = math.prod(dims)
+    end = start + count * _DTYPES[code].itemsize
+    if len(blob) < end:
+        raise FormatError("payload of %s ends at %d, declared to end at %d"
+                          % (path, len(blob), end), offset=start)
+    arr = np.frombuffer(blob, dtype=_DTYPES[code], count=count, offset=start)
+    return arr.reshape(dims).copy(), end
+
+
+def write_feature_file(path, tensor):
     with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<BB", _DTYPE_CODES[arr.dtype], arr.ndim))
-        f.write(struct.pack("<%dI" % arr.ndim, *arr.shape))
-        f.write(arr.astype(arr.dtype.newbyteorder("<")).tobytes())
+        _write_record(f, tensor)
 
 
 def read_feature_file(path):
     with open(path, "rb") as f:
         blob = f.read()
-    if blob[:8] != MAGIC:
-        raise FormatError("bad magic %r in %s" % (blob[:8], path), offset=0)
-    if len(blob) < 10:
-        raise FormatError("truncated header in %s" % path, offset=len(blob))
-    code, ndim = struct.unpack_from("<BB", blob, 8)
-    if code not in _DTYPES:
-        raise FormatError("unknown dtype code %d" % code, offset=8)
-    if ndim == 0:
-        raise FormatError("zero-dimensional tensor", offset=9)
-    header_end = 10 + 4 * ndim
-    if len(blob) < header_end:
-        raise FormatError("truncated dims in %s" % path, offset=len(blob))
-    dims = struct.unpack_from("<%dI" % ndim, blob, 10)
-    if any(d == 0 for d in dims):
-        raise FormatError("zero extent in dims %s" % (dims,), offset=10)
-    count = int(np.prod(dims))
-    dtype = _DTYPES[code]
-    expected = header_end + count * dtype.itemsize
-    if len(blob) != expected:
-        raise FormatError("payload length %d != declared %d"
-                          % (len(blob) - header_end, count * dtype.itemsize),
-                          offset=header_end)
-    arr = np.frombuffer(blob, dtype=dtype, count=count, offset=header_end)
-    return arr.reshape(dims).copy()
+    arr, end = _read_record(blob, 0, path)
+    if end != len(blob):
+        raise FormatError("%d trailing bytes in %s" % (len(blob) - end, path),
+                          offset=end)
+    return arr
 
-
-# ---------------------------------------------------------------------------
-# Checkpoints: one JSON index line, then concatenated payloads
-# ---------------------------------------------------------------------------
 
 def save_checkpoint(path, arrays):
-    index = {}
-    payloads = []
-    offset = 0
-    for name in sorted(arrays):
-        arr = np.ascontiguousarray(arrays[name])
-        if arr.dtype not in _DTYPE_CODES:
-            arr = arr.astype(np.float32)
-        blob = arr.astype(arr.dtype.newbyteorder("<")).tobytes()
-        index[name] = {"offset": offset, "dtype": int(_DTYPE_CODES[arr.dtype]),
-                       "dims": list(arr.shape)}
-        payloads.append(blob)
-        offset += len(blob)
+    """Per parameter, in name order: u16 name length | utf-8 name | record."""
     with open(path, "wb") as f:
-        f.write(json.dumps(index, sort_keys=True).encode("utf-8"))
-        f.write(b"\n")
-        for blob in payloads:
-            f.write(blob)
+        for name in sorted(arrays):
+            raw = name.encode("utf-8")
+            f.write(len(raw).to_bytes(2, "little") + raw)
+            _write_record(f, arrays[name])
 
 
 def load_checkpoint(path):
     with open(path, "rb") as f:
-        header = f.readline()
-        payload = f.read()
-    try:
-        index = json.loads(header.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise FormatError("bad checkpoint index: %s" % e, offset=0) from None
+        blob = f.read()
     out = {}
-    for name, meta in index.items():
-        dtype = _DTYPES[meta["dtype"]]
-        dims = tuple(meta["dims"])
-        count = int(np.prod(dims))
-        start = meta["offset"]
-        end = start + count * dtype.itemsize
-        if end > len(payload):
-            raise FormatError("truncated payload for %r" % name,
-                              offset=len(header) + start)
-        out[name] = np.frombuffer(payload[start:end],
-                                  dtype=dtype).reshape(dims).copy()
+    pos = 0
+    while pos < len(blob):
+        name_end = pos + 2 + int.from_bytes(blob[pos:pos + 2], "little")
+        if len(blob) < name_end:
+            raise FormatError("truncated parameter name in %s" % path,
+                              offset=pos)
+        try:
+            name = blob[pos + 2:name_end].decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError("undecodable parameter name in %s" % path,
+                              offset=pos + 2) from None
+        if name in out:
+            raise FormatError("repeated parameter %r in %s" % (name, path),
+                              offset=pos + 2)
+        out[name], pos = _read_record(blob, name_end, path)
     return out
 
 
@@ -114,43 +125,72 @@ def load_checkpoint(path):
 # Manifest
 # ---------------------------------------------------------------------------
 
+def load_json(path, what):
+    """Parse the JSON file at `path`; a file that is not JSON raises
+    ContractError naming it as `what`."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            return json.load(f)
+        except ValueError as e:  # JSONDecodeError or UnicodeDecodeError
+            raise ContractError("%s %s is not JSON: %s"
+                                % (what, path, e)) from None
+
+
+def _field(obj, key, kind, where, optional=False):
+    """`obj[key]` if it is a `kind` (not a bool); an absent optional field
+    reads as None; anything else raises ContractError naming `where`."""
+    value = obj.get(key) if isinstance(obj, dict) else None
+    if value is None and optional:
+        return None
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ContractError("%s: field %r is missing or not %s"
+                            % (where, key, kind.__name__))
+    return value
+
+
 def load_dataset(manifest_path):
     """Read a dataset manifest and every clip it lists, each feature file
-    once; fail fast on a missing or wrongly shaped feature file.
+    once; fail fast on a malformed manifest field or a missing or wrongly
+    shaped feature file.
 
     Returns (manifest, clips): the parsed manifest JSON and one record of
     arrays per clip.
     """
     path = Path(manifest_path)
-    with open(path, encoding="utf-8") as f:
-        manifest = json.load(f)
+    manifest = load_json(path, "manifest")
     root = path.parent
     clips = []
-    for clip in manifest["clips"]:
-        n = clip["n_frames"]
+    for i, clip in enumerate(_field(manifest, "clips", list,
+                                    "manifest %s" % path)):
+        cid = _field(clip, "id", str, "manifest %s, clip %d" % (path, i))
+        where = "manifest %s, clip %s" % (path, cid)
+        n = _field(clip, "n_frames", int, where)
         if n < 1:
-            raise ContractError("clip %s has no frames" % clip["id"])
-        out = {"id": clip["id"], "n_frames": n}
+            raise ContractError("%s has no frames" % where)
+        features = _field(clip, "features", dict, where)
+        out = {"id": cid, "n_frames": n}
         for channel, expect in (("scene", (n, 1024)),
                                 ("motion", (n, 7, 7, 1024)),
                                 ("fovea", (n, 7, 7, 1024))):
-            rel = clip["features"].get(channel)
-            if rel is None:
-                raise ContractError("clip %s missing %s features"
-                                    % (clip["id"], channel))
+            rel = _field(features, channel, str, where + ", features")
             arr = read_feature_file(root / rel)
             if arr.shape[0] != n or arr.shape[1:] != expect[1:]:
-                raise ContractError(
-                    "clip %s: %s features have shape %s, expected %s"
-                    % (clip["id"], channel, arr.shape, expect))
+                raise ContractError("%s: %s features have shape %s, "
+                                    "expected %s"
+                                    % (where, channel, arr.shape, expect))
             out[channel] = arr
-        out["captions"] = clip.get("captions", [])
+        captions = _field(clip, "captions", list, where, optional=True) or []
+        if not all(isinstance(c, str) for c in captions):
+            raise ContractError("%s: field 'captions' holds a non-string"
+                                % where)
+        out["captions"] = captions
         out["fixations"] = {}
-        if clip.get("fixations"):
-            if not (root / clip["fixations"]).exists():
-                raise ContractError("clip %s: fixation file missing"
-                                    % clip["id"])
-            out["fixations"] = read_fixations(root / clip["fixations"])
+        rel = _field(clip, "fixations", str, where, optional=True)
+        if rel:
+            if not (root / rel).exists():
+                raise ContractError("%s: fixation file %s missing"
+                                    % (where, root / rel))
+            out["fixations"] = read_fixations(root / rel)
         clips.append(out)
     return manifest, clips
 

@@ -30,15 +30,30 @@ class FixationRecord:
 def read_fixations(path):
     """Load a fixation CSV (header frame,subject,x,y) grouped by frame."""
     by_frame = defaultdict(list)
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f)
-        for row in reader:
-            rec = FixationRecord(int(row["frame"]), int(row["subject"]),
-                                 float(row["x"]), float(row["y"]))
-            if not (0.0 <= rec.x <= 1.0 and 0.0 <= rec.y <= 1.0):
-                raise ContractError("fixation out of [0,1]: %s in %s"
-                                    % (rec, path))
-            by_frame[rec.frame].append(rec)
+    try:
+        with open(path, newline="", encoding="utf-8") as f:
+            reader = csv.DictReader(f)
+            for row in reader:
+                values = []
+                for column, kind in (("frame", int), ("subject", int),
+                                     ("x", float), ("y", float)):
+                    try:
+                        values.append(kind(row[column]))
+                    except (KeyError, TypeError, ValueError):
+                        raise ContractError(
+                            "%s line %d: column %r is missing or not %s"
+                            % (path, reader.line_num, column,
+                               kind.__name__)) from None
+                rec = FixationRecord(*values)
+                if rec.frame < 0 or not (0.0 <= rec.x <= 1.0
+                                         and 0.0 <= rec.y <= 1.0):
+                    raise ContractError("%s line %d: negative frame or x, y "
+                                        "out of [0,1]: %s"
+                                        % (path, reader.line_num, rec))
+                by_frame[rec.frame].append(rec)
+    except (UnicodeDecodeError, csv.Error) as e:
+        raise ContractError("%s is not a fixation CSV: %s" % (path, e)) \
+            from None
     return dict(by_frame)
 
 

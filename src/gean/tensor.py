@@ -209,7 +209,7 @@ def _as_tensor(x, like=None):
     return Tensor(np.asarray(x, dtype=dtype))
 
 
-def _make(data, parents, backward, requires_grad):
+def _make(data, backward, requires_grad):
     out = Tensor(data)
     track = requires_grad and _recording()
     out.requires_grad = track
@@ -245,7 +245,7 @@ def add(a, b):
         if b.requires_grad:
             b.accumulate(_unbroadcast(g, b.shape))
 
-    return _make(data, (a, b), backward, a.requires_grad or b.requires_grad)
+    return _make(data, backward, a.requires_grad or b.requires_grad)
 
 
 def mul(a, b):
@@ -259,7 +259,7 @@ def mul(a, b):
         if b.requires_grad:
             b.accumulate(_unbroadcast(g * a.data, b.shape))
 
-    return _make(data, (a, b), backward, a.requires_grad or b.requires_grad)
+    return _make(data, backward, a.requires_grad or b.requires_grad)
 
 
 def matmul(a, b):
@@ -301,7 +301,7 @@ def matmul(a, b):
             if b.requires_grad:
                 b.accumulate(ad.swapaxes(-1, -2) @ g)
 
-    return _make(data, (a, b), backward, a.requires_grad or b.requires_grad)
+    return _make(data, backward, a.requires_grad or b.requires_grad)
 
 
 def affine(x, W, b):
@@ -322,7 +322,7 @@ def tensor_sum(a, axis=None, keepdims=False):
             ge = g if keepdims else np.expand_dims(g, axis)
             a.accumulate(np.broadcast_to(ge, a.shape))
 
-    return _make(data, (a,), backward, a.requires_grad)
+    return _make(data, backward, a.requires_grad)
 
 
 def sumsq(a):
@@ -335,7 +335,7 @@ def sumsq(a):
         if a.requires_grad:
             a.accumulate((2 * g) * a.data)
 
-    return _make(data, (a,), backward, a.requires_grad)
+    return _make(data, backward, a.requires_grad)
 
 
 def reshape(a, *shape):
@@ -349,7 +349,7 @@ def reshape(a, *shape):
         if a.requires_grad:
             a.accumulate(g.reshape(old))
 
-    return _make(data, (a,), backward, a.requires_grad)
+    return _make(data, backward, a.requires_grad)
 
 
 def transpose(a):
@@ -362,7 +362,7 @@ def transpose(a):
         if a.requires_grad:
             a.accumulate(g.T)
 
-    return _make(data, (a,), backward, a.requires_grad)
+    return _make(data, backward, a.requires_grad)
 
 
 def concat(tensors, axis=0):
@@ -379,8 +379,7 @@ def concat(tensors, axis=0):
                 t.accumulate(g[tuple(idx)])
             start += s
 
-    return _make(data, tuple(tensors), backward,
-                 any(t.requires_grad for t in tensors))
+    return _make(data, backward, any(t.requires_grad for t in tensors))
 
 
 def stack(tensors, axis=0):
@@ -393,8 +392,7 @@ def stack(tensors, axis=0):
             if t.requires_grad:
                 t.accumulate(gt)
 
-    return _make(data, tuple(tensors), backward,
-                 any(t.requires_grad for t in tensors))
+    return _make(data, backward, any(t.requires_grad for t in tensors))
 
 
 def narrow(a, axis, start, length):
@@ -411,7 +409,7 @@ def narrow(a, axis, start, length):
             full[idx] = g
             a.accumulate(full)
 
-    return _make(data, (a,), backward, a.requires_grad)
+    return _make(data, backward, a.requires_grad)
 
 
 def index(a, i):
@@ -427,7 +425,7 @@ def index(a, i):
             full[i] = g
             a.accumulate(full)
 
-    return _make(data, (a,), backward, a.requires_grad)
+    return _make(data, backward, a.requires_grad)
 
 
 def column(M, j):
@@ -443,7 +441,7 @@ def column(M, j):
                 M.grad = np.zeros_like(M.data)
             M.grad[:, j] += g
 
-    return _make(data, (M,), backward, M.requires_grad)
+    return _make(data, backward, M.requires_grad)
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +456,7 @@ def sigmoid(a):
         if a.requires_grad:
             a.accumulate(g * data * (1.0 - data))
 
-    return _make(data, (a,), backward, a.requires_grad)
+    return _make(data, backward, a.requires_grad)
 
 
 def tanh(a):
@@ -469,7 +467,7 @@ def tanh(a):
         if a.requires_grad:
             a.accumulate(g * (1.0 - data * data))
 
-    return _make(data, (a,), backward, a.requires_grad)
+    return _make(data, backward, a.requires_grad)
 
 
 def stanh(a):
@@ -482,7 +480,7 @@ def stanh(a):
         if a.requires_grad:
             a.accumulate(g * (1.7159 * 2.0 / 3.0) * (1.0 - inner * inner))
 
-    return _make(data, (a,), backward, a.requires_grad)
+    return _make(data, backward, a.requires_grad)
 
 
 def log(a):
@@ -493,7 +491,7 @@ def log(a):
         if a.requires_grad:
             a.accumulate(g / a.data)
 
-    return _make(data, (a,), backward, a.requires_grad)
+    return _make(data, backward, a.requires_grad)
 
 
 def softmax(a, axis=-1):
@@ -510,7 +508,7 @@ def softmax(a, axis=-1):
             dot = (g * data).sum(axis=axis, keepdims=True)
             a.accumulate((g - dot) * data)
 
-    return _make(data, (a,), backward, a.requires_grad)
+    return _make(data, backward, a.requires_grad)
 
 
 def log_softmax(a, axis=-1):
@@ -525,7 +523,7 @@ def log_softmax(a, axis=-1):
         if a.requires_grad:
             a.accumulate(g - np.exp(data) * g.sum(axis=axis, keepdims=True))
 
-    return _make(data, (a,), backward, a.requires_grad)
+    return _make(data, backward, a.requires_grad)
 
 
 def dropout(a, rate, rng, on):
@@ -618,8 +616,7 @@ def conv2d(x, kernel, stride=1, pad=0):
             x.accumulate(gx[0] if squeeze else gx)
 
     data = out[0] if squeeze else out
-    return _make(data, (x, kernel), backward,
-                 x.requires_grad or kernel.requires_grad)
+    return _make(data, backward, x.requires_grad or kernel.requires_grad)
 
 
 def conv_transpose2d(x, kernel, stride=1, pad=0):
@@ -662,16 +659,13 @@ def conv_transpose2d(x, kernel, stride=1, pad=0):
             kernel.accumulate(gk.reshape(kernel.shape))
 
     data = out[0] if squeeze else out
-    return _make(data, (x, kernel), backward,
-                 x.requires_grad or kernel.requires_grad)
+    return _make(data, backward, x.requires_grad or kernel.requires_grad)
 
 
 def avg_pool2d(x, kh, kw, stride):
-    """Average pooling over (kh,kw) windows; x: (H,W[,C]) or (N,H,W,C)."""
+    """Average pooling over (kh,kw) windows; x: (H,W,C) or (N,H,W,C)."""
     x = _as_tensor(x)
-    plain2d = x.ndim == 2
-    xin = x.data[:, :, None] if plain2d else x.data
-    xb, squeeze = _batched(xin)
+    xb, squeeze = _batched(x.data)
     n, h, w, c = xb.shape
     if kh > h or kw > w:
         raise DimensionError("pooling window (%d,%d) larger than input (%d,%d)"
@@ -688,14 +682,10 @@ def avg_pool2d(x, kh, kw, stride):
         gx = _col2im(gcols, n, h, w, c, kh, kw, stride, ho, wo, g.dtype)
         if squeeze:
             gx = gx[0]
-        if plain2d:
-            gx = gx[:, :, 0]
         x.accumulate(gx)
 
     data = out[0] if squeeze else out
-    if plain2d:
-        data = data[:, :, 0]
-    return _make(data, (x,), backward, x.requires_grad)
+    return _make(data, backward, x.requires_grad)
 
 
 # ---------------------------------------------------------------------------

@@ -186,3 +186,126 @@ def test_seed_env_overrides_flag(dataset, tmp_path, monkeypatch):
     b1 = (out1 / "rgp.ckpt").read_bytes()
     assert b1 == (out2 / "rgp.ckpt").read_bytes()
     assert b1 == (out3 / "rgp.ckpt").read_bytes()
+
+
+def _copy_dataset(dataset, tmp_path):
+    root = tmp_path / "data"
+    shutil.copytree(dataset.parent, root)
+    return root
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda b: b[:11] + b"\x07" + b[12:], "unknown dtype code 7"),
+    (lambda b: b[:-1], "payload"),
+    (lambda b: b + b"\x00", "truncated parameter name"),
+    (lambda b: json.dumps({"w": {"offset": 0, "dtype": 0, "dims": [1, 2]}})
+     .encode() + b"\n" + bytes(8), "parameter name"),
+], ids=["dtype-7", "truncated", "trailing-byte", "old-json-index"])
+def test_malformed_checkpoint_exit_1(dataset, tmp_path, capsys, mutate,
+                                     message):
+    path = tmp_path / "rgp.ckpt"
+    data.save_checkpoint(path, {"w": np.zeros((1, 2), dtype=np.float32)})
+    path.write_bytes(mutate(path.read_bytes()))
+    rc = main(["predict-gaze", "--manifest", str(dataset), "--rgp", str(path),
+               "--out", str(tmp_path / "pred")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert message in err and str(path) in err and "byte offset" in err
+
+
+def _drop(key):
+    def edit(manifest):
+        del manifest[key]
+    return edit
+
+
+def _edit_clip(key, value):
+    def edit(manifest):
+        if value is None:
+            del manifest["clips"][0][key]
+        else:
+            manifest["clips"][0][key] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_drop("clips"), "field 'clips'"),
+    (_edit_clip("n_frames", None), "clip clip000: field 'n_frames'"),
+    (_edit_clip("n_frames", "3"), "clip clip000: field 'n_frames'"),
+    (_edit_clip("id", None), "clip 0: field 'id'"),
+    (_edit_clip("features", {"scene": "clip000_scene.bin"}),
+     "clip clip000, features: field 'motion'"),
+    (_edit_clip("captions", "a caption"), "field 'captions'"),
+    (_drop("frame_size"), "'frame_size'"),
+    (None, "is not JSON"),
+], ids=["no-clips", "no-n-frames", "string-n-frames", "no-id",
+        "no-motion-features", "string-captions", "no-frame-size",
+        "not-json"])
+def test_malformed_manifest_exit_1(dataset, tmp_path, capsys, edit, message):
+    root = _copy_dataset(dataset, tmp_path)
+    path = root / "manifest.json"
+    if edit is None:
+        path.write_text('{"clips": [')
+    else:
+        manifest = json.loads(path.read_text())
+        edit(manifest)
+        path.write_text(json.dumps(manifest))
+    rc = main(["eval-gaze", "--manifest", str(path), "--copy-gt",
+               "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert message in err and str(path) in err
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda text: text.replace(",0.", ",abc", 1), "line 2: column 'x'"),
+    (lambda text: text.replace(",y", ",z", 1), "line 2: column 'y'"),
+    (lambda text: text.replace("\n0,", "\n-1,", 1), "line 2: negative frame"),
+], ids=["x-abc", "no-y-column", "negative-frame"])
+def test_malformed_fixation_csv_exit_1(dataset, tmp_path, capsys, edit,
+                                       message):
+    root = _copy_dataset(dataset, tmp_path)
+    path = root / "clip000_fixations.csv"
+    path.write_text(edit(path.read_text()))
+    rc = main(["eval-gaze", "--manifest", str(root / "manifest.json"),
+               "--copy-gt", "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert message in err and str(path) in err
+
+
+@pytest.mark.parametrize("meta, message", [
+    ({"config": {}}, "'words'"),
+    ({"words": ["a"], "config": {"embed": 4, "layers": 2}}, "key 'layers'"),
+    ({"words": ["a"], "config": {"agg_splits": [2, 2]}}, "key 'agg_splits'"),
+    ({"words": ["a"], "config": {"hidden": "4"}}, "key 'hidden'"),
+    (None, "is not JSON"),
+], ids=["no-words", "unknown-key", "two-agg-splits", "string-hidden",
+        "not-json"])
+def test_malformed_decoder_meta_exit_1(dataset, tmp_path, capsys, meta,
+                                       message):
+    path = tmp_path / "decoder_meta.json"
+    path.write_text("words: a" if meta is None else json.dumps(meta))
+    ckpt = tmp_path / "decoder.ckpt"
+    data.save_checkpoint(ckpt, {"w": np.zeros(1)})
+    rc = main(["caption", "--manifest", str(dataset), "--decoder", str(ckpt),
+               "--decoder-meta", str(path), "--gaze", "uniform",
+               "--out", str(tmp_path / "caps")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert message in err and str(path) in err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("clip000: a box", "is not JSON"),
+    ('["a box"]', "not an object of strings"),
+    ('{"clip000": 5}', "not an object of strings"),
+], ids=["not-json", "list", "number-caption"])
+def test_malformed_captions_exit_1(dataset, tmp_path, capsys, text, message):
+    path = tmp_path / "captions.json"
+    path.write_text(text)
+    rc = main(["eval-captions", "--manifest", str(dataset),
+               "--captions", str(path), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert message in err and str(path) in err

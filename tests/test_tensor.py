@@ -104,17 +104,17 @@ def test_avg_pool_constant():
 
 
 def test_avg_pool_block_mass():
-    m = np.zeros((49, 49))
+    m = np.zeros((49, 49, 1))
     m[:7, :7] = 1.0 / 49.0  # mass 1.0 in the top-left block
     out = T.avg_pool2d(Tensor(m), 7, 7, 7)
-    assert out.shape == (7, 7)
-    np.testing.assert_allclose(out.data[0, 0], 1.0 / 49.0, atol=1e-12)
+    assert out.shape == (7, 7, 1)
+    np.testing.assert_allclose(out.data[0, 0, 0], 1.0 / 49.0, atol=1e-12)
     assert np.all(out.data.ravel()[1:] == 0.0)
 
 
 def test_avg_pool_2x2():
-    out = T.avg_pool2d(Tensor([[1.0, 3.0], [5.0, 7.0]]), 2, 2, 2)
-    np.testing.assert_allclose(out.data, [[4.0]])
+    out = T.avg_pool2d(Tensor([[[1.0], [3.0]], [[5.0], [7.0]]]), 2, 2, 2)
+    np.testing.assert_allclose(out.data, [[[4.0]]])
 
 
 # ---------------------------------------------------------------------------

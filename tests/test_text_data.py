@@ -10,7 +10,7 @@ from gean import data
 from gean.data import (gaze_training_clips, load_checkpoint, load_dataset,
                        make_synthetic, read_feature_file,
                        save_checkpoint, write_feature_file)
-from gean.errors import ContractError, FormatError
+from gean.errors import ContractError, FormatError, GeanError
 from gean.text import Vocabulary, build_vocab, tokenize
 
 
@@ -87,6 +87,10 @@ def test_feature_file_truncated(tmp_path):
 def test_feature_file_rejects_scalar(tmp_path):
     with pytest.raises(ContractError):
         write_feature_file(tmp_path / "s.bin", np.float32(1.0))
+    with pytest.raises(ContractError):
+        write_feature_file(tmp_path / "e.bin", np.zeros((0, 3)))
+    with pytest.raises(ContractError):
+        save_checkpoint(tmp_path / "e.ckpt", {"w": np.zeros((2, 0))})
 
 
 # ---------------------------------------------------------------------------
@@ -119,6 +123,100 @@ def test_checkpoint_bad_header(tmp_path):
     path.write_bytes(b"\xff\xfe not json\n")
     with pytest.raises(FormatError):
         load_checkpoint(path)
+
+
+def _old_json_index_checkpoint():
+    """The retired layout: a JSON index line, then the raw payloads."""
+    payload = np.arange(6, dtype="<f4").tobytes()
+    index = {"w": {"offset": 0, "dtype": 0, "dims": [2, 3]}}
+    return json.dumps(index).encode("utf-8") + b"\n" + payload
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda b: b[:11] + b"\x07" + b[12:], "unknown dtype code 7"),
+    (lambda b: b[:-3], "payload"),
+    (lambda b: b + b"\x05", "truncated parameter name"),
+    (lambda b: b + b"\x01\x00v", "truncated header"),
+    (lambda b: b + b, "repeated parameter 'w'"),
+    (lambda b: b"\x01\x00\xff" + b[3:], "undecodable parameter name"),
+    (lambda b: _old_json_index_checkpoint(), "parameter name"),
+], ids=["dtype-7", "truncated", "partial-name-length", "partial-record",
+        "repeated-name", "undecodable-name", "old-json-index"])
+def test_checkpoint_rejects_malformed(tmp_path, mutate, message):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, {"w": np.ones((2, 3), dtype=np.float32)})
+    path.write_bytes(mutate(path.read_bytes()))
+    with pytest.raises(FormatError) as e:
+        load_checkpoint(path)
+    assert message in str(e.value)
+    assert str(path) in str(e.value) and e.value.offset is not None
+
+
+def test_checkpoint_layout_is_named_feature_records(tmp_path):
+    arrays = {"b": np.arange(3.0), "a": np.ones((2, 2), dtype=np.float32)}
+    save_checkpoint(tmp_path / "m.ckpt", arrays)
+    blob = (tmp_path / "m.ckpt").read_bytes()
+    records = []
+    for name in ("a", "b"):
+        write_feature_file(tmp_path / "r.bin", arrays[name])
+        records.append(b"\x01\x00" + name.encode() + (tmp_path / "r.bin")
+                       .read_bytes())
+    assert blob == b"".join(records)
+
+
+def test_feature_file_rejects_trailing_bytes(tmp_path):
+    path = tmp_path / "t.bin"
+    write_feature_file(path, np.ones((2, 2)))
+    path.write_bytes(path.read_bytes() + b"\0")
+    with pytest.raises(FormatError, match="1 trailing bytes") as e:
+        read_feature_file(path)
+    assert e.value.offset == 10 + 8 + 32
+
+
+def _mutants(blob, rng, n):
+    """`n` seeded mutations of `blob`, in turn: one byte XORed with a
+    nonzero value, a truncation, and 1 to 16 random bytes appended."""
+    for i in range(n):
+        if i % 3 == 0:
+            out = bytearray(blob)
+            out[rng.integers(len(blob))] ^= int(rng.integers(1, 256))
+            yield bytes(out)
+        elif i % 3 == 1:
+            yield blob[:rng.integers(len(blob))]
+        else:
+            size = int(rng.integers(1, 17))
+            yield blob + rng.integers(0, 256, size, dtype=np.uint8).tobytes()
+
+
+def test_readers_survive_byte_mutations(tmp_path):
+    """Every mutated feature file, checkpoint and manifest either loads or
+    raises a GeanError (a manifest may also name a missing file, which the
+    command line reports with exit 1 as well)."""
+    rng = np.random.default_rng(0)
+    manifest = make_synthetic(tmp_path, n_clips=1, n_frames=1, seed=0)
+    feature = tmp_path / "f.bin"
+    write_feature_file(feature, rng.standard_normal((2, 3)).astype(np.float32))
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(ckpt, {"w": rng.standard_normal((2, 3)),
+                           "b_long_name": np.ones(4, dtype=np.float32),
+                           "k": np.zeros((1, 2, 2), dtype=np.float32)})
+    cases = [(feature, read_feature_file, GeanError),
+             (ckpt, load_checkpoint, GeanError),
+             (manifest, load_dataset, (GeanError, FileNotFoundError))]
+    outcomes = {}
+    for path, load, allowed in cases:
+        blob = path.read_bytes()
+        for mutant in _mutants(blob, rng, 3000):
+            path.write_bytes(mutant)
+            try:
+                load(path)
+                outcome = "loaded"
+            except allowed as e:
+                outcome = type(e).__name__
+            outcomes.setdefault(path.name, set()).add(outcome)
+        path.write_bytes(blob)
+    for name, seen in outcomes.items():
+        assert "loaded" in seen and len(seen) > 1, (name, seen)
 
 
 # ---------------------------------------------------------------------------
