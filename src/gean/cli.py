@@ -27,23 +27,28 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError("%s\n%s" % (message, self.format_usage()))
 
 
-def _fixed(value):
-    """Render a report value with 6-decimal fixed floats."""
+def _fixed(value, key=None):
+    """Render a report value with 6-decimal fixed floats; a NaN or infinite
+    float raises ValueError naming its key, since JSON has no such number."""
     if isinstance(value, float):
+        if not np.isfinite(value):
+            raise ValueError("report value %r for key %r is not finite"
+                             % (value, key))
         return format(value, ".6f")
     if isinstance(value, dict):
-        return "{" + ", ".join('"%s": %s' % (k, _fixed(v))
+        return "{" + ", ".join('"%s": %s' % (k, _fixed(v, k))
                                for k, v in sorted(value.items())) + "}"
     if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(_fixed(v) for v in value) + "]"
+        return "[" + ", ".join(_fixed(v, key) for v in value) + "]"
     return json.dumps(value)
 
 
 def write_report(path, obj):
+    """Format the whole report first, so a refused one leaves no file."""
+    text = _fixed(obj) + "\n"
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as f:
-        f.write(_fixed(obj))
-        f.write("\n")
+        f.write(text)
 
 
 def _out_dir(args):
@@ -326,7 +331,7 @@ def main(argv=None):
     except _UsageError as e:
         print(str(e), file=sys.stderr)
         return 1
-    except (GeanError, FileNotFoundError) as e:
+    except (GeanError, OSError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 1
     except Exception as e:  # noqa: BLE001 - runtime failures exit 2

@@ -6,11 +6,11 @@ saliency evaluation.
 """
 
 import csv
+import functools
 from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import correlate1d
 
 from .errors import ConfigError, ContractError, DegenerateMapError, NoFixations
 
@@ -86,16 +86,30 @@ def gaussian_kernel_1d(sigma):
     return k / k.sum()
 
 
+@functools.lru_cache(maxsize=8)
+def _blur_matrix(n, sigma):
+    """(n, n) zero-padded correlation with the truncated Gaussian kernel:
+    (B @ v)[i] = sum_t k[t] * v[i + t - radius], v zero outside [0, n).
+    Read-only, since every caller shares the cached array."""
+    k = gaussian_kernel_1d(sigma)
+    radius = len(k) // 2
+    offset = np.arange(n)[None, :] - np.arange(n)[:, None] + radius
+    inside = (offset >= 0) & (offset < len(k))
+    b = np.where(inside, k[np.clip(offset, 0, len(k) - 1)], 0.0)
+    b.setflags(write=False)
+    return b
+
+
 def gaussian_blur(m, sigma):
-    """Separable Gaussian blur, kernel truncated at ceil(3*sigma), zero pad."""
+    """Separable Gaussian blur, kernel truncated at ceil(3*sigma), zero pad,
+    as one banded matrix per axis: B_h @ m @ B_w^T."""
     if sigma < 0:
         raise ConfigError("sigma must be >= 0, got %g" % sigma)
     m = np.asarray(m, dtype=np.float64)
     if sigma == 0:
         return m.copy()
-    k = gaussian_kernel_1d(sigma)
-    out = correlate1d(m, k, axis=0, mode="constant", cval=0.0)
-    return correlate1d(out, k, axis=1, mode="constant", cval=0.0)
+    h, w = m.shape
+    return _blur_matrix(h, sigma) @ m @ _blur_matrix(w, sigma).T
 
 
 def normalize_l1(m):

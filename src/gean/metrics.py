@@ -38,13 +38,14 @@ def _auc_from_values(pos, neg):
     pos = np.asarray(pos, dtype=np.float64)
     neg = np.asarray(neg, dtype=np.float64)
     thresholds = np.unique(pos)[::-1]
-    tpr = [0.0]
-    fpr = [0.0]
-    for th in thresholds:
-        tpr.append(float(np.mean(pos >= th)))
-        fpr.append(float(np.mean(neg >= th)) if neg.size else 0.0)
-    tpr.append(1.0)
-    fpr.append(1.0)
+
+    def rate_at_or_above(values):
+        below = np.searchsorted(np.sort(values), thresholds, side="left")
+        return (values.size - below) / values.size
+
+    tpr = np.concatenate(([0.0], rate_at_or_above(pos), [1.0]))
+    fpr = np.concatenate(([0.0], rate_at_or_above(neg) if neg.size
+                          else np.zeros(thresholds.size), [1.0]))
     return float(np.trapezoid(tpr, fpr))
 
 
@@ -66,8 +67,8 @@ def sauc(saliency, fixations, shuffle_pool, n_splits=10, seed=0):
         raise ContractError("sauc requires at least one fixation pixel")
     if not shuffle_pool:
         raise ContractError("sauc requires a non-empty shuffle pool")
-    pos = np.array([saliency[r, c] for r, c in fixations])
-    pool = np.array([saliency[r, c] for r, c in shuffle_pool])
+    pos = saliency[tuple(np.asarray(fixations).T)]
+    pool = saliency[tuple(np.asarray(shuffle_pool).T)]
     rng = np.random.default_rng(seed)
     n_neg = min(len(pool), len(pos))
     scores = []

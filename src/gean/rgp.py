@@ -64,14 +64,14 @@ def _channels(t, start, length):
     return T.narrow(t, t.ndim - 1, start, length)
 
 
-def _cell_from_wx(wx, h_prev, params):
+def _cell_from_wx(wx, h_prev, params, u_zr):
     """GRU update given the precomputed input-side convolution wx
-    (concatenated z|r|h candidates along channels)."""
+    (concatenated z|r|h candidates along channels) and the [u_z|u_r]
+    kernel."""
     ch = params.u_z.shape[-1]
-    u_zr = T.conv2d(h_prev, T.concat([params.u_z, params.u_r], axis=3),
-                    stride=1, pad=1)
-    z = T.sigmoid(_channels(wx, 0, ch) + _channels(u_zr, 0, ch))
-    r = T.sigmoid(_channels(wx, ch, ch) + _channels(u_zr, ch, ch))
+    zr_rec = T.conv2d(h_prev, u_zr, stride=1, pad=1)
+    z = T.sigmoid(_channels(wx, 0, ch) + _channels(zr_rec, 0, ch))
+    r = T.sigmoid(_channels(wx, ch, ch) + _channels(zr_rec, ch, ch))
     h_bar = T.tanh(_channels(wx, 2 * ch, ch)
                    + T.conv2d(r * h_prev, params.u_h, stride=1, pad=1))
     return (1.0 - z) * h_prev + z * h_bar
@@ -81,7 +81,8 @@ def rgp_cell_step(x, h_prev, params):
     """One convolutional-GRU step on a projected frame x (7,7,proj)."""
     wx = T.conv2d(x, T.concat([params.w_z, params.w_r, params.w_h], axis=3),
                   stride=1, pad=1)
-    return _cell_from_wx(wx, h_prev, params)
+    u_zr = T.concat([params.u_z, params.u_r], axis=3)
+    return _cell_from_wx(wx, h_prev, params, u_zr)
 
 
 def rgp_readout_scores(h, params):
@@ -115,10 +116,11 @@ def rgp_forward_scores(features, params):
                                      axis=3), stride=1, pad=1)
     h = Tensor(np.zeros((cfg.grid, cfg.grid, cfg.hidden),
                         dtype=x.data.dtype))
+    u_zr = T.concat([params.u_z, params.u_r], axis=3)  # once per clip
     states = []
     for t in range(n):
         wx = T.reshape(T.narrow(wx_all, 0, t, 1), wx_all.shape[1:])
-        h = _cell_from_wx(wx, h, params)
+        h = _cell_from_wx(wx, h, params, u_zr)
         states.append(h)
     return rgp_readout_scores(T.stack(states), params)
 

@@ -640,10 +640,23 @@ def conv_transpose2d(x, kernel, stride=1, pad=0):
     if ho <= 0 or wo <= 0:
         raise DimensionError("non-positive output extent (%d, %d)" % (ho, wo))
 
-    kflat = kernel.data.reshape(kh * kw * cout, cin)
-    cols = (xb.reshape(-1, cin) @ kflat.T).reshape(n, h, w, kh, kw, cout)
-    full = _col2im(cols, n, ho + 2 * pad, wo + 2 * pad, cout,
-                   kh, kw, stride, h, w, xb.dtype)
+    # Sub-pixel form. Output row q*s + r sums x[q - a] * K[a*s + r] over
+    # a < A = ceil(kh/s), with K zero-padded to A*s rows (columns alike).
+    # That is a stride-1 A x A correlation of x, padded by A - 1, with the
+    # tap-flipped kernel, one s*s*cout column block per output phase (r, c);
+    # interleaving the phases and cropping pad gives the output.
+    s = stride
+    ah, aw = -(-kh // s), -(-kw // s)
+    qh, qw = h + ah - 1, w + aw - 1
+    kp = np.pad(kernel.data, ((0, ah * s - kh), (0, aw * s - kw),
+                              (0, 0), (0, 0)))
+    kp = kp.reshape(ah, s, aw, s, cout, cin)[::-1, :, ::-1]
+    ksub = kp.transpose(0, 2, 5, 1, 3, 4).reshape(ah * aw * cin, s * s * cout)
+    xp = np.pad(xb, ((0, 0), (ah - 1, ah - 1), (aw - 1, aw - 1), (0, 0)))
+    cols = np.ascontiguousarray(_im2col(xp, ah, aw, 1, qh, qw))
+    phases = (cols.reshape(n * qh * qw, -1) @ ksub).reshape(n, qh, qw, s, s,
+                                                             cout)
+    full = phases.transpose(0, 1, 3, 2, 4, 5).reshape(n, qh * s, qw * s, cout)
     out = full[:, pad:pad + ho, pad:pad + wo, :]
 
     def backward(g):
@@ -651,6 +664,7 @@ def conv_transpose2d(x, kernel, stride=1, pad=0):
         gp = np.pad(gb, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
         gcols = _im2col(gp, kh, kw, stride, h, w)
         gcols_flat = np.ascontiguousarray(gcols).reshape(n * h * w, kh * kw * cout)
+        kflat = kernel.data.reshape(kh * kw * cout, cin)
         if x.requires_grad:
             gx = (gcols_flat @ kflat).reshape(xb.shape)
             x.accumulate(gx[0] if squeeze else gx)
@@ -672,14 +686,22 @@ def avg_pool2d(x, kh, kw, stride):
                              % (kh, kw, h, w))
     ho = (h - kh) // stride + 1
     wo = (w - kw) // stride + 1
-    cols = _im2col(xb, kh, kw, stride, ho, wo)
-    out = cols.mean(axis=(3, 4))
+    # window sums are separable: kh row slices, then kw column slices
+    row_slices = [slice(d, d + stride * (ho - 1) + 1, stride)
+                  for d in range(kh)]
+    col_slices = [slice(d, d + stride * (wo - 1) + 1, stride)
+                  for d in range(kw)]
+    rows = sum(xb[:, rs] for rs in row_slices)
+    out = sum(rows[:, :, cs] for cs in col_slices) / (kh * kw)
 
     def backward(g):
         gb = g.reshape(n, ho, wo, c) / (kh * kw)
-        gcols = np.broadcast_to(gb[:, :, :, None, None, :],
-                                (n, ho, wo, kh, kw, c))
-        gx = _col2im(gcols, n, h, w, c, kh, kw, stride, ho, wo, g.dtype)
+        grows = np.zeros((n, ho, w, c), dtype=g.dtype)
+        for cs in col_slices:
+            grows[:, :, cs] += gb
+        gx = np.zeros((n, h, w, c), dtype=g.dtype)
+        for rs in row_slices:
+            gx[:, rs] += grows
         if squeeze:
             gx = gx[0]
         x.accumulate(gx)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gean import data, decoder
-from gean.cli import main
+from gean.cli import main, write_report
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -161,6 +161,39 @@ def test_train_rgp_non_finite_loss_exit_2(dataset, tmp_path, capsys):
     assert rc == 2
     assert "non-finite loss nan at training step 1" in capsys.readouterr().err
     assert not (out / "train_rgp.json").exists()
+
+
+def test_feature_path_is_directory_exit_1(dataset, tmp_path, capsys):
+    root = _copy_dataset(dataset, tmp_path)
+    path = root / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["clips"][0]["features"]["scene"] = "."
+    path.write_text(json.dumps(manifest))
+    rc = main(["train-rgp", "--manifest", str(path), "--out",
+               str(tmp_path / "o"), "--steps", "1"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "Is a directory" in err and str(root) in err
+
+
+def test_non_finite_report_value_refused(tmp_path):
+    path = tmp_path / "report.json"
+    with pytest.raises(ValueError, match="'loss'"):
+        write_report(path, {"step": 3, "loss": float("nan")})
+    with pytest.raises(ValueError, match="'losses'"):
+        write_report(path, {"losses": [0.5, float("inf")]})
+    assert not path.exists()
+    write_report(path, {"step": 3, "loss": 0.25})
+    assert json.loads(path.read_text()) == {"step": 3, "loss": 0.25}
+
+
+def test_non_finite_report_value_exit_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("gean.checks.gradient_report",
+                        lambda seed, instances: {"loss": float("nan")})
+    rc = main(["gradcheck", "--out", str(tmp_path), "--instances", "1"])
+    assert rc == 2
+    assert "'loss'" in capsys.readouterr().err
+    assert not (tmp_path / "gradcheck.json").exists()
 
 
 def test_reports_use_fixed_decimals(tmp_path):

@@ -3,6 +3,7 @@ targets, evaluation maps, and mirroring."""
 
 import numpy as np
 import pytest
+from scipy.ndimage import correlate1d
 
 from gean.errors import DegenerateMapError, NoFixations
 from gean.gaze import (FixationRecord, bilinear_upsample, build_fixation_map,
@@ -67,6 +68,18 @@ def test_blur_constant_interior_unchanged():
     m = np.full((49, 49), 0.3)
     out = gaussian_blur(m, 2.0)
     np.testing.assert_allclose(out[10:-10, 10:-10], 0.3, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape, sigma", [((98, 98), 19.0), ((49, 49), 2.0),
+                                          ((30, 70), 5.0)])
+def test_blur_matches_scipy_correlate1d(shape, sigma):
+    # scipy is the reference only; the package does not import it
+    m = np.random.default_rng(1).random(shape)
+    k = gaussian_kernel_1d(sigma)
+    ref = correlate1d(correlate1d(m, k, axis=0, mode="constant", cval=0.0),
+                      k, axis=1, mode="constant", cval=0.0)
+    np.testing.assert_allclose(gaussian_blur(m, sigma), ref, rtol=0,
+                               atol=1e-12)
 
 
 def test_normalize_l1_halves_double_mass():

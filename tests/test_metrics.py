@@ -9,8 +9,9 @@ import pytest
 
 from gean.errors import ContractError, DegenerateMapError
 from gean.gaze import FixationRecord
-from gean.metrics import (_lcs_len, auc_judd, bleu, cc, cider, corpus_bleu,
-                          eval_protocol, rouge_l, sauc, sim)
+from gean.metrics import (_auc_from_values, _lcs_len, auc_judd, bleu, cc,
+                          cider, corpus_bleu, eval_protocol, rouge_l, sauc,
+                          sim)
 
 
 # ---------------------------------------------------------------------------
@@ -82,6 +83,38 @@ def test_auc_requires_fixations():
         auc_judd(np.ones((5, 5)), [])
 
 
+def _loop_auc(pos, neg):
+    """Reference: one np.mean per threshold."""
+    pos = np.asarray(pos, dtype=np.float64)
+    neg = np.asarray(neg, dtype=np.float64)
+    tpr, fpr = [0.0], [0.0]
+    for th in np.unique(pos)[::-1]:
+        tpr.append(float(np.mean(pos >= th)))
+        fpr.append(float(np.mean(neg >= th)) if neg.size else 0.0)
+    tpr.append(1.0)
+    fpr.append(1.0)
+    return float(np.trapezoid(tpr, fpr))
+
+
+def _auc_cases():
+    rng = np.random.default_rng(21)
+    for trial in range(200):
+        n_pos, n_neg = int(rng.integers(1, 30)), int(rng.integers(0, 40))
+        if trial % 2:  # coarse levels: many ties within and across sets
+            yield (rng.integers(0, 5, n_pos) / 4.0,
+                   rng.integers(0, 5, n_neg) / 4.0)
+        else:
+            yield rng.random(n_pos), rng.random(n_neg)
+    yield [0.3], [0.1, 0.3, 0.7]
+    yield [0.3], []
+    yield [0.2, 0.2, 0.9], []
+
+
+def test_auc_from_values_equals_loop_reference():
+    for pos, neg in _auc_cases():
+        assert _auc_from_values(pos, neg) == _loop_auc(pos, neg)
+
+
 # ---------------------------------------------------------------------------
 # sAUC
 # ---------------------------------------------------------------------------
@@ -116,6 +149,25 @@ def test_sauc_center_bias_near_half():
     scores = [sauc(s, draw(8), draw(200), n_splits=10, seed=i)
               for i in range(30)]
     assert abs(float(np.mean(scores)) - 0.5) <= 0.05
+
+
+def test_sauc_equals_per_pixel_reference():
+    rng = np.random.default_rng(22)
+    s = rng.integers(0, 6, (12, 12)) / 5.0  # ties
+    for trial in range(20):
+        cells = [tuple(int(v) for v in p)
+                 for p in rng.integers(0, 12, (int(rng.integers(1, 9)), 2))]
+        pool = [tuple(int(v) for v in p)
+                for p in rng.integers(0, 12, (int(rng.integers(1, 30)), 2))]
+        pos = np.array([s[r, c] for r, c in cells])
+        values = np.array([s[r, c] for r, c in pool])
+        draw = np.random.default_rng(trial)
+        ref = float(np.mean([
+            _loop_auc(pos, draw.choice(values, size=min(len(values),
+                                                        len(pos)),
+                                       replace=False))
+            for _ in range(10)]))
+        assert sauc(s, cells, pool, n_splits=10, seed=trial) == ref
 
 
 def test_sauc_deterministic():

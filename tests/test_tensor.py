@@ -94,6 +94,39 @@ def test_conv_transpose_geometry_7_to_14():
     assert T.conv_transpose2d(x, k, stride=2, pad=1).shape == (14, 14, 2)
 
 
+def _scatter_conv_transpose(x, k, stride, pad):
+    """Reference: every input pixel adds its kernel-weighted window."""
+    squeeze = x.ndim == 3
+    xb = x[None] if squeeze else x
+    n, h, w, _ = xb.shape
+    kh, kw, cout, _ = k.shape
+    full = np.zeros((n, (h - 1) * stride + kh, (w - 1) * stride + kw, cout))
+    for i in range(h):
+        for j in range(w):
+            full[:, i * stride:i * stride + kh, j * stride:j * stride + kw] \
+                += np.einsum("nc,abdc->nabd", xb[:, i, j], k)
+    out = full[:, pad:full.shape[1] - pad, pad:full.shape[2] - pad]
+    return out[0] if squeeze else out
+
+
+@pytest.mark.parametrize("k, stride, pad", [(4, 2, 1), (3, 2, 0), (3, 1, 1),
+                                             (5, 3, 2), (1, 1, 0)])
+@pytest.mark.parametrize("shape", [(5, 6, 3), (2, 4, 5, 3)])
+@pytest.mark.parametrize("dtype, rtol", [(np.float32, 1e-5),
+                                         (np.float64, 1e-12)])
+def test_conv_transpose_matches_scatter_add(k, stride, pad, shape, dtype,
+                                            rtol):
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal(shape).astype(dtype)
+    kern = rng.standard_normal((k, k, 2, 3)).astype(dtype)
+    out = T.conv_transpose2d(Tensor(x), Tensor(kern), stride=stride, pad=pad)
+    ref = _scatter_conv_transpose(x.astype(np.float64),
+                                  kern.astype(np.float64), stride, pad)
+    assert out.data.dtype == dtype and out.shape == ref.shape
+    np.testing.assert_allclose(out.data, ref, rtol=rtol,
+                               atol=rtol * np.abs(ref).max())
+
+
 # ---------------------------------------------------------------------------
 # avg_pool2d
 # ---------------------------------------------------------------------------
@@ -115,6 +148,26 @@ def test_avg_pool_block_mass():
 def test_avg_pool_2x2():
     out = T.avg_pool2d(Tensor([[[1.0], [3.0]], [[5.0], [7.0]]]), 2, 2, 2)
     np.testing.assert_allclose(out.data, [[[4.0]]])
+
+
+@pytest.mark.parametrize("kh, kw, stride", [(8, 8, 1), (3, 3, 2), (7, 7, 7)])
+def test_avg_pool_matches_window_means(kh, kw, stride):
+    x = np.random.default_rng(12).standard_normal((2, 21, 23, 3))
+    out = T.avg_pool2d(Tensor(x), kh, kw, stride).data
+    ho, wo = (21 - kh) // stride + 1, (23 - kw) // stride + 1
+    ref = np.array([[[x[b, i * stride:i * stride + kh,
+                         j * stride:j * stride + kw].mean(axis=(0, 1))
+                      for j in range(wo)] for i in range(ho)]
+                    for b in range(2)])
+    np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-15)
+
+
+def test_avg_pool_grad_check_rgp_window():
+    rng = np.random.default_rng(13)
+    x = Parameter("x", rng.standard_normal((2, 11, 10, 1)))
+    w = Tensor(rng.standard_normal((2, 4, 3, 1)))
+    assert grad_check(lambda: T.tensor_sum(T.avg_pool2d(x, 8, 8, 1) * w),
+                      [x]) <= 1e-8
 
 
 # ---------------------------------------------------------------------------
