@@ -5,7 +5,7 @@ import numpy as np
 
 from . import tensor as T
 from .decoder import (CHANNELS, DecoderConfig, DecoderParams, DecoderState,
-                      caption_loss, decode_step)
+                      attention_keys, caption_loss, decode_step)
 from .rgp import RgpConfig, RgpParams, rgp_cell_step
 from .tensor import Parameter, Tensor, grad_check
 
@@ -65,7 +65,7 @@ def check_affine_activations(rng, instances=20):
         x = _param(rng, 5)
 
         def f():
-            y = T.affine(x, W, b)
+            y = T.add(T.matmul(W, x), b)
             y = T.sigmoid(y) + T.tanh(y) + T.stanh(y)
             return _scalarize(y)
 
@@ -111,7 +111,8 @@ def check_decode_step(rng, instances=20, config=SMALL_DECODER):
 
         def f():
             state = DecoderState.initial(0, config, dtype=np.float64)
-            logits, _ = decode_step(state, pools, params)
+            logits, _ = decode_step(state, attention_keys(pools, params),
+                                    params)
             return _scalarize(logits)
 
         return f, params.all()
@@ -126,12 +127,13 @@ def check_caption_loss(rng, instances=20, config=SMALL_DECODER, n_words=2,
         targets = list(rng.integers(0, config.vocab_size, size=n_words))
 
         def f():
+            keys = attention_keys(pools, params)
             state = DecoderState.initial(0, config, dtype=np.float64)
             logits_seq = []
             prev = 0
             for tgt in targets:
                 state.prev_word = prev
-                logits, state = decode_step(state, pools, params)
+                logits, state = decode_step(state, keys, params)
                 logits_seq.append(logits)
                 prev = int(tgt)
             # the l2 term covers weight matrices only, so the b_* biases

@@ -8,7 +8,8 @@ Arrays travel between stages in one binary record,
 
 parsed by one reader. A feature file is exactly one record. A checkpoint is,
 per parameter in name order, a u16 name length, the utf-8 name and a record.
-Every malformed file raises `FormatError` naming the path and byte offset.
+Every malformed file, one holding a NaN or an infinity too, raises
+`FormatError` naming the path and byte offset.
 """
 
 import json
@@ -72,6 +73,12 @@ def _read_record(blob, pos, path):
         raise FormatError("payload of %s ends at %d, declared to end at %d"
                           % (path, len(blob), end), offset=start)
     arr = np.frombuffer(blob, dtype=_DTYPES[code], count=count, offset=start)
+    finite = np.isfinite(arr)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise FormatError("non-finite value %s at flat index %d in %s"
+                          % (arr[i], i, path),
+                          offset=start + i * arr.itemsize)
     return arr.reshape(dims).copy(), end
 
 

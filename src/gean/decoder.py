@@ -123,21 +123,35 @@ def _gru(params, prefix, x, h_prev):
                     p["%s_wh" % prefix], p["%s_uh" % prefix])
 
 
-def temporal_attention(pool, h_att, params, channel):
-    """Soft attention over one feature pool.
+def attention_keys(pools, params):
+    """Per channel, (pool, pool @ Wq^T): the pool as a Tensor in the wq_*
+    weight's dtype and the key term of temporal attention that no word
+    changes, computed once per caption (Bahdanau et al., arXiv:1409.0473,
+    App. A.1.2); the tape sums its gradient over the words."""
+    p = params.params
+    keys = {}
+    for ch in CHANNELS:
+        wq = p["wq_%s" % ch]
+        pool = pools[ch]
+        if not isinstance(pool, Tensor):
+            # numpy pools (build_clip_pools gives float64) run in the
+            # weights' dtype, so training and decoding compute alike
+            pool = Tensor(pool, dtype=wq.data.dtype)
+        keys[ch] = (pool, T.matmul(pool, T.transpose(wq)))
+    return keys
+
+
+def temporal_attention(pool, pool_key, h_att, params, channel):
+    """Soft attention over one feature pool, given its key term
+    pool_key = pool @ Wq^T from `attention_keys`.
 
     Returns (u, beta): u = sum_tau beta_tau * v_tau with
     beta = softmax(w . stanh(Wq v + Uq h_att + bq)).
     """
     p = params.params
-    if not isinstance(pool, Tensor):
-        # numpy pools (build_clip_pools gives float64) run in the
-        # weights' dtype, so training and decoding compute alike
-        pool = Tensor(pool, dtype=p["wq_%s" % channel].data.dtype)
-    keys = T.stanh(T.matmul(pool, T.transpose(p["wq_%s" % channel]))
-                   + T.matmul(p["uq_%s" % channel], h_att)
-                   + p["b_q_%s" % channel])
-    scores = T.matmul(keys, p["w_%s" % channel])
+    energy = T.stanh(pool_key + T.matmul(p["uq_%s" % channel], h_att)
+                     + p["b_q_%s" % channel])
+    scores = T.matmul(energy, p["w_%s" % channel])
     beta = T.softmax(scores)
     u = T.matmul(beta, pool)
     return u, beta
@@ -154,9 +168,10 @@ def aggregate(u_s, u_m, u_f, h_att, params, dropout_on=False, rng=None):
     return T.dropout(q, DROPOUT, rng, dropout_on)
 
 
-def decode_step(state, pools, params, dropout_on=False, rng=None):
+def decode_step(state, keys, params, dropout_on=False, rng=None):
     """One word step: update the attention GRU from the previous word,
-    attend each pool, aggregate, update the multimodal GRU, emit logits."""
+    attend each pool (`keys` from `attention_keys`), aggregate, update the
+    multimodal GRU, emit logits."""
     if not (0 <= state.prev_word < params.config.vocab_size):
         raise ContractError("previous word index %d out of vocabulary"
                             % state.prev_word)
@@ -165,7 +180,7 @@ def decode_step(state, pools, params, dropout_on=False, rng=None):
     attended = {}
     betas = {}
     for ch in CHANNELS:
-        attended[ch], betas[ch] = temporal_attention(pools[ch], h_att,
+        attended[ch], betas[ch] = temporal_attention(*keys[ch], h_att,
                                                      params, ch)
     q = aggregate(attended["scene"], attended["motion"], attended["fovea"],
                   h_att, params, dropout_on, rng)
@@ -178,10 +193,11 @@ def decode_step(state, pools, params, dropout_on=False, rng=None):
 def decode_greedy(pools, params, vocab, max_len=80):
     """Greedy argmax decoding from <BOS>; stops at <EOS> or max_len."""
     with no_grad():
+        keys = attention_keys(pools, params)
         state = DecoderState.initial(vocab.bos, params.config)
         out = []
         for _ in range(max_len):
-            logits, state = decode_step(state, pools, params)
+            logits, state = decode_step(state, keys, params)
             word = int(np.argmax(logits.data))
             if word == vocab.eos:
                 break
@@ -221,11 +237,12 @@ def teacher_forced_loss(pools, token_ids, params, vocab, l2_coeff=0.0,
     if not token_ids:
         raise ContractError("empty ground-truth sequence")
     targets = token_ids + [vocab.eos]
+    keys = attention_keys(pools, params)
     state = DecoderState.initial(vocab.bos, params.config)
     logits_seq = []
     for prev, tgt in zip([vocab.bos] + token_ids, targets):
         state.prev_word = prev
-        logits, state = decode_step(state, pools, params, dropout_on, rng)
+        logits, state = decode_step(state, keys, params, dropout_on, rng)
         logits_seq.append(logits)
     return caption_loss(logits_seq, targets, params, l2_coeff)
 

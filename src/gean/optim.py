@@ -27,6 +27,12 @@ def finite_loss(loss, step):
     return value
 
 
+# Adam walks each Parameter in blocks of this many elements: the block's
+# data, grad, m, v and two scratch buffers, 6 x 256 KB in float32, stay in
+# a 2 MB L2 cache while the block's seven updates run over them.
+ADAM_BLOCK = 65536
+
+
 class AdamState:
     """Adam with bias correction; moments live per parameter by name."""
 
@@ -42,27 +48,50 @@ class AdamState:
         self.v = {}
 
     def step(self, params):
-        """One update over `params`; zero-fills each grad afterwards."""
+        """One update over `params`, in place and block by block; each
+        Parameter keeps its grad array, zero-filled afterwards.
+
+        Elementwise, every block runs the operations and operand dtypes of
+        the whole-array update, so the result is the same to the bit.
+        """
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
+        c1, c2 = 1 - b1 ** self.t, 1 - b2 ** self.t
+        scratch = {}
         for p in params:
-            g = p.grad
-            if g is None:
-                g = np.zeros_like(p.data)
-            m = self.m.get(p.name)
-            if m is None:
-                m = np.zeros_like(p.data)
-                self.m[p.name] = m
-                self.v[p.name] = np.zeros_like(p.data)
-            v = self.v[p.name]
-            m *= b1
-            m += (1 - b1) * g
-            v *= b2
-            v += (1 - b2) * g * g
-            m_hat = m / (1 - b1 ** self.t)
-            v_hat = v / (1 - b2 ** self.t)
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-            p.zero_grad()
+            dtype = p.data.dtype
+            # a flat view of a non-C-contiguous array would be a copy, and
+            # the update or the zero-fill would be lost; the grad is held in
+            # the Parameter's dtype
+            p.data = np.asarray(p.data, order="C")
+            p.grad = (np.zeros(p.shape, dtype) if p.grad is None
+                      else np.asarray(p.grad, dtype, order="C"))
+            if p.name not in self.m:
+                self.m[p.name] = np.zeros(p.shape, dtype)
+                self.v[p.name] = np.zeros(p.shape, dtype)
+            flat = [a.reshape(-1) for a in
+                    (p.data, p.grad, self.m[p.name], self.v[p.name])]
+            if dtype not in scratch:
+                scratch[dtype] = (np.empty(ADAM_BLOCK, dtype),
+                                  np.empty(ADAM_BLOCK, dtype))
+            for lo in range(0, p.data.size, ADAM_BLOCK):
+                d, g, m, v = (a[lo:lo + ADAM_BLOCK] for a in flat)
+                a, b = (s[:d.size] for s in scratch[dtype])
+                m *= b1
+                np.multiply(g, 1 - b1, out=a)
+                m += a
+                v *= b2
+                np.multiply(g, 1 - b2, out=a)
+                a *= g
+                v += a
+                np.divide(m, c1, out=a)  # m_hat
+                a *= lr
+                np.divide(v, c2, out=b)  # v_hat
+                np.sqrt(b, out=b)
+                b += eps
+                a /= b
+                d -= a
+                g.fill(0)
 
 
 def init_xavier(shape, rng, dtype=np.float64):

@@ -8,9 +8,11 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, ContractError, DimensionError
-from .gaze import mirror_augment
+from .gaze import GRID as OUT_GRID, mirror_augment
 from .optim import AdamState, finite_loss, init_xavier, resolve_seed
 from .tensor import Parameter, ParameterSet, Tape, Tensor, no_grad
+
+GRID = 7  # the ConvGRU runs on GRID x GRID feature cells
 
 
 @dataclass
@@ -18,9 +20,7 @@ class RgpConfig:
     in_channels: int = 1024
     proj_channels: int = 512
     hidden: int = 128
-    grid: int = 7
     readout_channels: tuple = (64, 32, 16)
-    out_grid: int = 49
 
 
 @dataclass
@@ -88,20 +88,19 @@ def rgp_cell_step(x, h_prev, params):
 def rgp_readout_scores(h, params):
     """Readout logits: three deconvs, a 1x1 conv, 8x8 average pool.
 
-    h: (7,7,hidden) or (N,7,7,hidden); returns (..., out_grid**2) scores.
+    h: (7,7,hidden) or (N,7,7,hidden); returns (..., OUT_GRID**2) scores.
     """
     y = T.conv_transpose2d(h, params.d1, stride=2, pad=1)
     y = T.conv_transpose2d(y, params.d2, stride=2, pad=1)
     y = T.conv_transpose2d(y, params.d3, stride=2, pad=1)
     y = T.conv2d(y, params.r)
     y = T.avg_pool2d(y, 8, 8, stride=1)
-    g = params.config.out_grid
     lead = y.shape[:-3]
-    return T.reshape(y, lead + (g * g,))
+    return T.reshape(y, lead + (OUT_GRID * OUT_GRID,))
 
 
 def rgp_forward_scores(features, params):
-    """Per-frame readout logits (N, out_grid**2) for a clip.
+    """Per-frame readout logits (N, OUT_GRID**2) for a clip.
 
     Input-side convolutions are batched over frames; the recurrence and
     readout follow.
@@ -110,11 +109,10 @@ def rgp_forward_scores(features, params):
     if x.ndim != 4 or x.shape[0] < 1:
         raise ContractError("expected a non-empty (N,7,7,C) feature sequence")
     n = x.shape[0]
-    cfg = params.config
     proj = T.conv2d(x, params.p_in)
     wx_all = T.conv2d(proj, T.concat([params.w_z, params.w_r, params.w_h],
                                      axis=3), stride=1, pad=1)
-    h = Tensor(np.zeros((cfg.grid, cfg.grid, cfg.hidden),
+    h = Tensor(np.zeros((GRID, GRID, params.config.hidden),
                         dtype=x.data.dtype))
     u_zr = T.concat([params.u_z, params.u_r], axis=3)  # once per clip
     states = []
@@ -130,9 +128,8 @@ def predict_gaze(features, params):
     strictly positive with sum 1."""
     with no_grad():
         scores = rgp_forward_scores(features, params)
-        g = params.config.out_grid
         return T.reshape(T.softmax(scores, axis=-1),
-                         (scores.shape[0], g, g)).data
+                         (scores.shape[0], OUT_GRID, OUT_GRID)).data
 
 
 def _loss_weights(gts, mask):

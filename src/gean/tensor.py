@@ -133,12 +133,6 @@ class Tensor:
     def __neg__(self):
         return mul(self, -1.0)
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def reshape(self, *shape):
-        return reshape(self, *shape)
-
 
 class Parameter(Tensor):
     """Named trainable tensor; `grad` is zero-filled after an optimizer step."""
@@ -148,9 +142,6 @@ class Parameter(Tensor):
     def __init__(self, name, value, dtype=None):
         super().__init__(value, requires_grad=True, dtype=dtype)
         self.name = name
-
-    def zero_grad(self):
-        self.grad = np.zeros_like(self.data)
 
     def __repr__(self):
         return "Parameter(%r, shape=%s)" % (self.name, self.shape)
@@ -302,11 +293,6 @@ def matmul(a, b):
                 b.accumulate(ad.swapaxes(-1, -2) @ g)
 
     return _make(data, backward, a.requires_grad or b.requires_grad)
-
-
-def affine(x, W, b):
-    """W @ x + b for a vector x."""
-    return add(matmul(W, x), b)
 
 
 def tensor_sum(a, axis=None, keepdims=False):

@@ -114,7 +114,8 @@ def test_distribution_invariants():
                  for ch in decoder.CHANNELS}
         state = decoder.DecoderState.initial(0, checks.SMALL_DECODER,
                                              dtype=np.float64)
-        _, state = decoder.decode_step(state, pools, dparams)
+        _, state = decoder.decode_step(
+            state, decoder.attention_keys(pools, dparams), dparams)
         for beta in state.betas.values():
             assert abs(beta.data.sum() - 1.0) <= 1e-6
     elapsed = time.time() - start

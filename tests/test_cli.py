@@ -148,19 +148,44 @@ def test_predict_gaze_rejects_checkpoint_missing_sizing_parameter(
     assert "'d2'" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
 def test_train_rgp_non_finite_loss_exit_2(dataset, tmp_path, capsys):
-    root = tmp_path / "data"
-    shutil.copytree(dataset.parent, root)
+    # Adam moves each weight by about lr on the first step, so at lr 1e30
+    # the second forward overflows float32 and the loss is NaN
+    out = tmp_path / "rgp"
+    rc = main(["train-rgp", "--manifest", str(dataset), "--out", str(out),
+               "--steps", "3", "--seed", "0", "--lr", "1e30"])
+    assert rc == 2
+    assert "non-finite loss nan at training step 2" in capsys.readouterr().err
+    assert not (out / "train_rgp.json").exists()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_feature_file_exit_1(dataset, tmp_path, capsys, value):
+    root = _copy_dataset(dataset, tmp_path)
     path = root / "clip000_motion.bin"
     motion = data.read_feature_file(path)
-    motion[1, 0, 0, 0] = np.nan
+    motion[1, 0, 0, 3] = value
     data.write_feature_file(path, motion)
     out = tmp_path / "rgp"
     rc = main(["train-rgp", "--manifest", str(root / "manifest.json"),
-               "--out", str(out), "--steps", "2", "--seed", "0"])
-    assert rc == 2
-    assert "non-finite loss nan at training step 1" in capsys.readouterr().err
+               "--out", str(out), "--steps", "1", "--seed", "0"])
+    err = capsys.readouterr().err
+    index = np.ravel_multi_index((1, 0, 0, 3), motion.shape)
+    assert rc == 1
+    assert "at flat index %d in %s" % (index, path) in err
     assert not (out / "train_rgp.json").exists()
+
+
+def test_non_finite_checkpoint_exit_1(dataset, tmp_path, capsys):
+    path = tmp_path / "rgp.ckpt"
+    data.save_checkpoint(path, {"b": np.zeros(3, dtype=np.float32),
+                                "w": np.array([[0.0, 1.0], [np.inf, 0.0]])})
+    rc = main(["predict-gaze", "--manifest", str(dataset), "--rgp", str(path),
+               "--out", str(tmp_path / "pred")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "non-finite value inf at flat index 2 in %s" % path in err
 
 
 def test_feature_path_is_directory_exit_1(dataset, tmp_path, capsys):

@@ -4,13 +4,14 @@ full decode steps, greedy decoding, and the loss."""
 import numpy as np
 import pytest
 
+from gean import tensor as T
 from gean.decoder import (CHANNELS, DecoderConfig, DecoderParams,
-                          DecoderState, build_clip_pools, caption_loss,
-                          decode_greedy, decode_step, gru_step,
+                          DecoderState, attention_keys, build_clip_pools,
+                          caption_loss, decode_greedy, decode_step, gru_step,
                           teacher_forced_loss, temporal_attention)
 from gean.errors import ConfigError, ContractError
 from gean.pools import POOL_FOVEA, POOL_MOTION, POOL_SCENE
-from gean.tensor import Tensor
+from gean.tensor import Tape, Tensor, no_grad
 from gean.text import Vocabulary
 
 CFG = DecoderConfig(vocab_size=6, embed=4, hidden=4, att=3, feat=5,
@@ -35,12 +36,17 @@ def make_pools(seed=0, n=4):
 # temporal attention
 # ---------------------------------------------------------------------------
 
+def attend(pool, h, params, channel):
+    keys = attention_keys({ch: pool for ch in CHANNELS}, params)
+    return temporal_attention(*keys[channel], h, params, channel)
+
+
 def test_attention_equal_vectors_returns_them():
     params = make_params()
     v = np.random.default_rng(1).standard_normal(CFG.feat)
     pool = Tensor(np.tile(v, (5, 1)))
     h = Tensor(np.random.default_rng(2).standard_normal(CFG.hidden))
-    u, beta = temporal_attention(pool, h, params, "scene")
+    u, beta = attend(pool, h, params, "scene")
     np.testing.assert_allclose(u.data, v, atol=1e-9)
     assert beta.data.sum() == pytest.approx(1.0, abs=1e-9)
 
@@ -49,7 +55,7 @@ def test_attention_zero_params_uniform():
     params = make_params(zero=True)
     pool = make_pools(3)["scene"]
     h = Tensor(np.zeros(CFG.hidden))
-    u, beta = temporal_attention(pool, h, params, "scene")
+    u, beta = attend(pool, h, params, "scene")
     np.testing.assert_allclose(beta.data, 0.25, atol=1e-12)
     np.testing.assert_allclose(u.data, pool.data.mean(axis=0), atol=1e-12)
 
@@ -58,9 +64,9 @@ def test_attention_permutation_equivariance():
     params = make_params(4)
     pool = make_pools(5)["motion"].data
     h = Tensor(np.random.default_rng(6).standard_normal(CFG.hidden))
-    u0, b0 = temporal_attention(Tensor(pool), h, params, "motion")
+    u0, b0 = attend(Tensor(pool), h, params, "motion")
     perm = np.array([2, 0, 3, 1])
-    u1, b1 = temporal_attention(Tensor(pool[perm]), h, params, "motion")
+    u1, b1 = attend(Tensor(pool[perm]), h, params, "motion")
     np.testing.assert_allclose(b1.data, b0.data[perm], atol=1e-9)
     np.testing.assert_allclose(u1.data, u0.data, atol=1e-9)
 
@@ -96,9 +102,10 @@ def test_decode_step_deterministic_and_bounded():
     params = make_params(10)
     pools = make_pools(11)
     s0 = DecoderState.initial(0, CFG, dtype=np.float64)
-    l1, n1 = decode_step(s0, pools, params)
+    keys = attention_keys(pools, params)
+    l1, n1 = decode_step(s0, keys, params)
     s0b = DecoderState.initial(0, CFG, dtype=np.float64)
-    l2, _ = decode_step(s0b, pools, params)
+    l2, _ = decode_step(s0b, keys, params)
     np.testing.assert_array_equal(l1.data, l2.data)
     probs = np.exp(l1.data - l1.data.max())
     probs /= probs.sum()
@@ -116,7 +123,7 @@ def test_decode_step_zero_hidden_gives_zero_fusion():
             params.params[name].data[...] = 0.0
     pools = make_pools(13)
     logits, _ = decode_step(DecoderState.initial(0, CFG, dtype=np.float64),
-                            pools, params)
+                            attention_keys(pools, params), params)
     # with q = 0 and h_m starting at 0, the logits reduce to the bias path
     assert np.all(np.isfinite(logits.data))
 
@@ -126,7 +133,7 @@ def test_decode_step_rejects_bad_word():
     state = DecoderState.initial(0, CFG, dtype=np.float64)
     state.prev_word = CFG.vocab_size
     with pytest.raises(ContractError):
-        decode_step(state, make_pools(), params)
+        decode_step(state, attention_keys(make_pools(), params), params)
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +168,8 @@ def test_greedy_numpy_pools_decode_in_weight_dtype():
     vocab = _vocab()
     assert (decode_greedy(pools, params, vocab, max_len=12)
             == decode_greedy(tensors, params, vocab, max_len=12))
-    logits, _ = decode_step(DecoderState.initial(0, CFG), pools, params)
+    logits, _ = decode_step(DecoderState.initial(0, CFG),
+                            attention_keys(pools, params), params)
     assert logits.data.dtype == np.float32
 
 
@@ -234,3 +242,89 @@ def test_build_clip_pools_learned_requires_rgp():
                          rng.standard_normal((2, 7, 7, 8)),
                          rng.standard_normal((2, 7, 7, 8)),
                          gaze="learned")
+
+
+# ---------------------------------------------------------------------------
+# key term once per caption against the per-word key term
+# ---------------------------------------------------------------------------
+
+def _per_word_decode_step(state, pools, params, dropout_on=False, rng=None):
+    """decode_step with pool @ Wq^T (and the pool's cast to the weights'
+    dtype) recomputed at every word: the reference for attention_keys."""
+    keys = {}
+    for ch in CHANNELS:
+        wq = params.params["wq_%s" % ch]
+        pool = pools[ch]
+        if not isinstance(pool, Tensor):
+            pool = Tensor(pool, dtype=wq.data.dtype)
+        keys[ch] = (pool, T.matmul(pool, T.transpose(wq)))
+    return decode_step(state, keys, params, dropout_on, rng)
+
+
+def test_teacher_forced_keys_once_match_per_word_keys():
+    params = make_params(21)
+    pools = {ch: np.random.default_rng(22).standard_normal((4, CFG.feat))
+             for ch in CHANNELS}
+    vocab = _vocab()
+    ids = [3, 5, 4, 4]
+
+    def run(loss_fn):
+        with Tape() as tape:
+            loss = loss_fn(np.random.default_rng(23))
+            tape.backward(loss)
+        grads = {p.name: p.grad for p in params.all()}
+        for p in params.all():
+            p.grad = None
+        return loss.item(), grads
+
+    def reference(rng):
+        state = DecoderState.initial(vocab.bos, CFG, dtype=np.float64)
+        logits_seq = []
+        for prev in [vocab.bos] + ids:
+            state.prev_word = prev
+            logits, state = _per_word_decode_step(state, pools, params,
+                                                  True, rng)
+            logits_seq.append(logits)
+        return caption_loss(logits_seq, ids + [vocab.eos], params, 1e-3)
+
+    loss, grads = run(lambda rng: teacher_forced_loss(
+        pools, ids, params, vocab, 1e-3, dropout_on=True, rng=rng))
+    ref_loss, ref_grads = run(reference)
+    assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+    assert grads.keys() == ref_grads.keys()
+    for name, g in grads.items():
+        scale = np.max(np.abs(ref_grads[name]))
+        assert np.max(np.abs(g - ref_grads[name])) <= 1e-12 * scale, name
+
+
+def test_greedy_keys_once_bit_identical_to_per_word_keys(monkeypatch):
+    # float32 weights with float64 numpy pools, as `gean caption` decodes
+    params = DecoderParams.create(np.random.default_rng(24), CFG)
+    pools = {ch: np.random.default_rng(25).standard_normal((4, CFG.feat))
+             for ch in CHANNELS}
+    vocab = _vocab()
+    params.b_out.data[vocab.eos] = -1e4  # decode all 12 words
+    seen = []
+
+    def recording_step(*args, **kwargs):
+        logits, state = decode_step(*args, **kwargs)
+        seen.append(logits.data)
+        return logits, state
+
+    monkeypatch.setattr("gean.decoder.decode_step", recording_step)
+    ids = decode_greedy(pools, params, vocab, max_len=12)
+    monkeypatch.undo()
+    state = DecoderState.initial(vocab.bos, CFG)
+    ref_ids, ref_logits = [], []
+    with no_grad():
+        for _ in range(12):
+            logits, state = _per_word_decode_step(state, pools, params)
+            ref_logits.append(logits.data)
+            word = int(np.argmax(logits.data))
+            if word == vocab.eos:
+                break
+            ref_ids.append(word)
+            state.prev_word = word
+    assert ids == ref_ids and len(seen) == len(ref_logits) == 12
+    for a, b in zip(seen, ref_logits):
+        assert a.dtype == np.float32 and np.array_equal(a, b)

@@ -191,7 +191,8 @@ def _mutants(blob, rng, n):
 def test_readers_survive_byte_mutations(tmp_path):
     """Every mutated feature file, checkpoint and manifest either loads or
     raises a GeanError (a manifest may also name a missing file, which the
-    command line reports with exit 1 as well)."""
+    command line reports with exit 1 as well); a NaN or an infinity in any
+    payload element of a feature file or a checkpoint is refused."""
     rng = np.random.default_rng(0)
     manifest = make_synthetic(tmp_path, n_clips=1, n_frames=1, seed=0)
     feature = tmp_path / "f.bin"
@@ -217,6 +218,24 @@ def test_readers_survive_byte_mutations(tmp_path):
         path.write_bytes(blob)
     for name, seen in outcomes.items():
         assert "loaded" in seen and len(seen) > 1, (name, seen)
+    good = read_feature_file(feature)
+    arrays = load_checkpoint(ckpt)
+    for value in (np.nan, np.inf, -np.inf):
+        for i in range(good.size):
+            bad = good.copy()
+            bad.flat[i] = value
+            write_feature_file(feature, bad)
+            with pytest.raises(FormatError, match="flat index %d in" % i):
+                read_feature_file(feature)
+        for name, arr in arrays.items():
+            for i in range(arr.size):
+                bad = dict(arrays, **{name: arr.copy()})
+                bad[name].flat[i] = value
+                save_checkpoint(ckpt, bad)
+                with pytest.raises(FormatError,
+                                   match="non-finite value %s at flat index "
+                                         "%d in" % (value, i)):
+                    load_checkpoint(ckpt)
 
 
 # ---------------------------------------------------------------------------
