@@ -92,10 +92,12 @@ def check_rgp_cell(rng, instances=20, config=SMALL_RGP):
         params = RgpParams.create(rng, config, dtype=np.float64)
         x = Tensor(rng.standard_normal((7, 7, config.proj_channels)))
         h0 = Tensor(rng.standard_normal((7, 7, config.hidden)) * 0.5)
-        cell_params = [params.params[n] for n in
-                       ("w_z", "w_r", "w_h", "u_z", "u_r", "u_h")]
-        return (lambda: _scalarize(rgp_cell_step(x, h0, params)),
-                cell_params)
+
+        def f():
+            wx = T.conv2d(x, params.w_zrh, stride=1, pad=1)
+            return _scalarize(rgp_cell_step(wx, h0, params))
+
+        return f, [params.w_zrh, params.u_zr, params.u_h]
     return _worst(rng, instances, build)
 
 

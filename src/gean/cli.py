@@ -63,7 +63,7 @@ def _load_rgp(path):
     require_parameters(rgp.RgpParams.NAMES, arrays)
     kh, kw, cin, cp = arrays["p_in"].shape
     cfg = rgp.RgpConfig(in_channels=cin, proj_channels=cp,
-                        hidden=arrays["u_z"].shape[-1],
+                        hidden=arrays["u_h"].shape[-1],
                         readout_channels=(arrays["d1"].shape[2],
                                           arrays["d2"].shape[2],
                                           arrays["d3"].shape[2]))

@@ -12,7 +12,7 @@ from .optim import (AdamState, finite_loss, init_orthogonal, init_xavier,
                     resolve_seed)
 from .pools import (DEFAULT_LAMBDA, POOL_FOVEA, POOL_MOTION, POOL_SCENE,
                     attend_features, build_pool, fixed_gaze, spatial_attention)
-from .rgp import predict_gaze
+from .rgp import gru_update, predict_gaze
 from .tensor import Parameter, ParameterSet, Tape, Tensor, no_grad
 from .text import build_vocab, tokenize
 
@@ -57,35 +57,35 @@ class DecoderParams(ParameterSet):
         cfg = config
         v, e, h, a, f = (cfg.vocab_size, cfg.embed, cfg.hidden, cfg.att,
                          cfg.feat)
-        params = {"embedding": Parameter("embedding",
-                                         init_xavier((e, v), rng, dtype))}
+        params = {}
 
-        def add(name, shape, init="xavier"):
-            if init == "zero":
-                data = np.zeros(shape, dtype=dtype)
-            elif init == "orth":
-                data = init_orthogonal(shape, rng, dtype)
-            else:
-                data = init_xavier(shape, rng, dtype)
+        def add(name, *blocks):
+            data = np.concatenate(blocks) if len(blocks) > 1 else blocks[0]
             params[name] = Parameter(name, data)
 
+        zero = lambda n: np.zeros(n, dtype=dtype)
+        xavier = lambda *shape: init_xavier(shape, rng, dtype)
+        add("embedding", xavier(e, v))
         for ch in CHANNELS:
-            add("w_%s" % ch, (a,))
-            add("wq_%s" % ch, (a, f))
-            add("uq_%s" % ch, (a, h))
-            add("b_q_%s" % ch, (a,), "zero")
+            add("w_%s" % ch, xavier(a))
+            add("wq_%s" % ch, xavier(a, f))
+            add("uq_%s" % ch, xavier(a, h))
+            add("b_q_%s" % ch, zero(a))
         for prefix, xdim in (("att", e), ("mm", cfg.agg_dim + e)):
-            for gate in ("z", "r", "h"):
-                add("%s_w%s" % (prefix, gate), (h, xdim))
-                add("%s_u%s" % (prefix, gate), (h, h), "orth")
-            add("b_%s_z" % prefix, (h,), "zero")
-            add("b_%s_r" % prefix, (h,), "zero")
+            # one draw per gate block, z, r, h in turn; gates stack by rows
+            (wz, uz), (wr, ur), (wh, uh) = [
+                (xavier(h, xdim), init_orthogonal((h, h), rng, dtype))
+                for _ in range(3)]
+            add("%s_w_zrh" % prefix, wz, wr, wh)
+            add("%s_u_zr" % prefix, uz, ur)
+            add("%s_u_h" % prefix, uh)
+            add("b_%s_zr" % prefix, zero(2 * h))
         for ch, dim in zip(CHANNELS, cfg.agg_splits):
-            add("wg_%s" % ch, (dim, f))
-        add("b_g", (cfg.agg_dim,), "zero")
-        add("u_g", (cfg.agg_dim, h))
-        add("w_out", (v, h))
-        add("b_out", (v,), "zero")
+            add("wg_%s" % ch, xavier(dim, f))
+        add("b_g", zero(cfg.agg_dim))
+        add("u_g", xavier(cfg.agg_dim, h))
+        add("w_out", xavier(v, h))
+        add("b_out", zero(v))
         return cls(params, cfg)
 
 
@@ -105,22 +105,16 @@ class DecoderState:
         return cls(zero(), zero(), bos)
 
 
-def gru_step(x, h_prev, wz, uz, bz, wr, ur, br, wh, uh):
-    """Standard GRU update; the candidate branch carries no bias."""
-    z = T.sigmoid(T.matmul(wz, x) + T.matmul(uz, h_prev) + bz)
-    r = T.sigmoid(T.matmul(wr, x) + T.matmul(ur, h_prev) + br)
-    h_bar = T.tanh(T.matmul(wh, x) + T.matmul(uh, r * h_prev))
-    return (1.0 - z) * h_prev + z * h_bar
+def gru_step(x, h_prev, w_zrh, u_zr, u_h, b_zr):
+    """Matrix GRU update: bias on the z|r gates only."""
+    return gru_update(T.matmul(w_zrh, x), T.matmul(u_zr, h_prev) + b_zr,
+                      h_prev, lambda rh: T.matmul(u_h, rh))
 
 
 def _gru(params, prefix, x, h_prev):
     p = params.params
-    return gru_step(x, h_prev,
-                    p["%s_wz" % prefix], p["%s_uz" % prefix],
-                    p["b_%s_z" % prefix],
-                    p["%s_wr" % prefix], p["%s_ur" % prefix],
-                    p["b_%s_r" % prefix],
-                    p["%s_wh" % prefix], p["%s_uh" % prefix])
+    return gru_step(x, h_prev, p["%s_w_zrh" % prefix], p["%s_u_zr" % prefix],
+                    p["%s_u_h" % prefix], p["b_%s_zr" % prefix])
 
 
 def attention_keys(pools, params):

@@ -35,54 +35,57 @@ class RgpTrainConfig:
 class RgpParams(ParameterSet):
     """Parameter set of the gaze predictor.
 
-    p_in: 1x1 projection conv; w_*/u_* : 3x3 GRU gate kernels;
-    d1..d3: transposed-conv readout; r: final 1x1 conv.
+    p_in: 1x1 projection conv; w_zrh, u_zr, u_h: 3x3 GRU kernels, gates
+    stacked z|r|h on the output channels; d1..d3: transposed-conv readout;
+    r: final 1x1 conv.
     """
 
-    NAMES = ("p_in", "w_z", "w_r", "w_h", "u_z", "u_r", "u_h",
-             "d1", "d2", "d3", "r")
+    NAMES = ("p_in", "w_zrh", "u_zr", "u_h", "d1", "d2", "d3", "r")
 
     @classmethod
     def create(cls, rng, config=None, dtype=np.float32):
         cfg = config or RgpConfig()
         ci, cp, ch = cfg.in_channels, cfg.proj_channels, cfg.hidden
         c1, c2, c3 = cfg.readout_channels
-        shapes = {
-            "p_in": (1, 1, ci, cp),
-            "w_z": (3, 3, cp, ch), "w_r": (3, 3, cp, ch), "w_h": (3, 3, cp, ch),
-            "u_z": (3, 3, ch, ch), "u_r": (3, 3, ch, ch), "u_h": (3, 3, ch, ch),
+
+        def xavier(shape, gates=1):
+            # one Xavier draw per gate kernel, stacked on output channels
+            return np.concatenate([init_xavier(shape, rng, dtype)
+                                   for _ in range(gates)], axis=3)
+
+        arrays = {
+            "p_in": xavier((1, 1, ci, cp)),
+            "w_zrh": xavier((3, 3, cp, ch), 3),
+            "u_zr": xavier((3, 3, ch, ch), 2), "u_h": xavier((3, 3, ch, ch)),
             # conv_transpose kernels are (kh, kw, cout, cin)
-            "d1": (4, 4, c1, ch), "d2": (4, 4, c2, c1), "d3": (4, 4, c3, c2),
-            "r": (1, 1, c3, 1),
+            "d1": xavier((4, 4, c1, ch)), "d2": xavier((4, 4, c2, c1)),
+            "d3": xavier((4, 4, c3, c2)), "r": xavier((1, 1, c3, 1)),
         }
-        params = {name: Parameter(name, init_xavier(shape, rng, dtype))
-                  for name, shape in shapes.items()}
-        return cls(params, cfg)
+        return cls({n: Parameter(n, a) for n, a in arrays.items()}, cfg)
 
 
-def _channels(t, start, length):
-    return T.narrow(t, t.ndim - 1, start, length)
+def gru_update(wx, zr_rec, h_prev, candidate_rec):
+    """The GRU update of Cho et al. (arXiv:1406.1078) on the last axis,
+    shared by the ConvGRU and the decoder's GRUs.
 
-
-def _cell_from_wx(wx, h_prev, params, u_zr):
-    """GRU update given the precomputed input-side convolution wx
-    (concatenated z|r|h candidates along channels) and the [u_z|u_r]
-    kernel."""
-    ch = params.u_z.shape[-1]
-    zr_rec = T.conv2d(h_prev, u_zr, stride=1, pad=1)
-    z = T.sigmoid(_channels(wx, 0, ch) + _channels(zr_rec, 0, ch))
-    r = T.sigmoid(_channels(wx, ch, ch) + _channels(zr_rec, ch, ch))
-    h_bar = T.tanh(_channels(wx, 2 * ch, ch)
-                   + T.conv2d(r * h_prev, params.u_h, stride=1, pad=1))
+    wx: input-side pre-activations, gates stacked z|r|h; zr_rec: the
+    recurrent z|r pre-activations; candidate_rec(r * h_prev): the
+    candidate's recurrent product. The candidate carries no bias.
+    """
+    n = h_prev.shape[-1]
+    axis = h_prev.ndim - 1
+    zr = T.sigmoid(T.narrow(wx, axis, 0, 2 * n) + zr_rec)
+    z, r = T.narrow(zr, axis, 0, n), T.narrow(zr, axis, n, n)
+    h_bar = T.tanh(T.narrow(wx, axis, 2 * n, n) + candidate_rec(r * h_prev))
     return (1.0 - z) * h_prev + z * h_bar
 
 
-def rgp_cell_step(x, h_prev, params):
-    """One convolutional-GRU step on a projected frame x (7,7,proj)."""
-    wx = T.conv2d(x, T.concat([params.w_z, params.w_r, params.w_h], axis=3),
-                  stride=1, pad=1)
-    u_zr = T.concat([params.u_z, params.u_r], axis=3)
-    return _cell_from_wx(wx, h_prev, params, u_zr)
+def rgp_cell_step(wx, h_prev, params):
+    """One ConvGRU step given the input-side term wx = conv(x, w_zrh),
+    (7,7,3*hidden) for a projected frame x."""
+    return gru_update(wx, T.conv2d(h_prev, params.u_zr, stride=1, pad=1),
+                      h_prev,
+                      lambda rh: T.conv2d(rh, params.u_h, stride=1, pad=1))
 
 
 def rgp_readout_scores(h, params):
@@ -110,15 +113,13 @@ def rgp_forward_scores(features, params):
         raise ContractError("expected a non-empty (N,7,7,C) feature sequence")
     n = x.shape[0]
     proj = T.conv2d(x, params.p_in)
-    wx_all = T.conv2d(proj, T.concat([params.w_z, params.w_r, params.w_h],
-                                     axis=3), stride=1, pad=1)
+    wx_all = T.conv2d(proj, params.w_zrh, stride=1, pad=1)
     h = Tensor(np.zeros((GRID, GRID, params.config.hidden),
                         dtype=x.data.dtype))
-    u_zr = T.concat([params.u_z, params.u_r], axis=3)  # once per clip
     states = []
     for t in range(n):
         wx = T.reshape(T.narrow(wx_all, 0, t, 1), wx_all.shape[1:])
-        h = _cell_from_wx(wx, h, params, u_zr)
+        h = rgp_cell_step(wx, h, params)
         states.append(h)
     return rgp_readout_scores(T.stack(states), params)
 

@@ -114,6 +114,15 @@ def test_caption_workflow(dataset, tmp_path):
         assert key in report
 
 
+def _per_gate(arrays, fused, names, axis):
+    """`arrays` with the fused GRU array `fused` split into the per-gate
+    arrays `names`, the layout checkpoints had before the gates were
+    stacked."""
+    out = {k: v for k, v in arrays.items() if k != fused}
+    out.update(zip(names, np.split(arrays[fused], len(names), axis=axis)))
+    return out
+
+
 def test_caption_rejects_wrong_shaped_checkpoint(dataset, tmp_path, capsys):
     cfg = {"embed": 4, "hidden": 4, "att": 3, "feat": 1024,
            "agg_splits": [2, 2, 3]}
@@ -121,15 +130,23 @@ def test_caption_rejects_wrong_shaped_checkpoint(dataset, tmp_path, capsys):
     meta.write_text(json.dumps({"words": ["a", "b"], "config": cfg}))
     params = decoder.DecoderParams.create(
         np.random.default_rng(0), decoder.DecoderConfig(vocab_size=5, **cfg))
-    arrays = params.state_dict()
-    arrays["w_out"] = arrays["w_out"][:, :-1]
-    data.save_checkpoint(tmp_path / "decoder.ckpt", arrays)
-    rc = main(["caption", "--manifest", str(dataset),
-               "--decoder", str(tmp_path / "decoder.ckpt"),
-               "--decoder-meta", str(meta), "--gaze", "uniform",
-               "--out", str(tmp_path / "caps")])
-    assert rc == 1
-    assert "'w_out'" in capsys.readouterr().err
+    wrong_shape = params.state_dict()
+    wrong_shape["w_out"] = wrong_shape["w_out"][:, :-1]
+    per_gate = params.state_dict()
+    for pre in ("att", "mm"):
+        for fused, names in (("%s_w_zrh", "%s_wz %s_wr %s_wh"),
+                             ("%s_u_zr", "%s_uz %s_ur"), ("%s_u_h", "%s_uh"),
+                             ("b_%s_zr", "b_%s_z b_%s_r")):
+            per_gate = _per_gate(per_gate, fused % pre,
+                                 [n % pre for n in names.split()], 0)
+    for arrays, named in ((wrong_shape, "'w_out'"), (per_gate, "'att_u_h'")):
+        data.save_checkpoint(tmp_path / "decoder.ckpt", arrays)
+        rc = main(["caption", "--manifest", str(dataset),
+                   "--decoder", str(tmp_path / "decoder.ckpt"),
+                   "--decoder-meta", str(meta), "--gaze", "uniform",
+                   "--out", str(tmp_path / "caps")])
+        assert rc == 1
+        assert named in capsys.readouterr().err
 
 
 def test_predict_gaze_rejects_checkpoint_missing_sizing_parameter(
@@ -138,14 +155,17 @@ def test_predict_gaze_rejects_checkpoint_missing_sizing_parameter(
                str(tmp_path / "rgp"), "--steps", "1", "--seed", "0"])
     assert rc == 0
     arrays = data.load_checkpoint(tmp_path / "rgp" / "rgp.ckpt")
-    del arrays["d2"]
-    data.save_checkpoint(tmp_path / "rgp.ckpt", arrays)
+    no_d2 = {k: v for k, v in arrays.items() if k != "d2"}
+    per_gate = _per_gate(_per_gate(arrays, "w_zrh", ["w_z", "w_r", "w_h"], 3),
+                         "u_zr", ["u_z", "u_r"], 3)
     capsys.readouterr()
-    rc = main(["predict-gaze", "--manifest", str(dataset),
-               "--rgp", str(tmp_path / "rgp.ckpt"),
-               "--out", str(tmp_path / "pred")])
-    assert rc == 1
-    assert "'d2'" in capsys.readouterr().err
+    for arrays, named in ((no_d2, "'d2'"), (per_gate, "'u_zr'")):
+        data.save_checkpoint(tmp_path / "rgp.ckpt", arrays)
+        rc = main(["predict-gaze", "--manifest", str(dataset),
+                   "--rgp", str(tmp_path / "rgp.ckpt"),
+                   "--out", str(tmp_path / "pred")])
+        assert rc == 1
+        assert named in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself

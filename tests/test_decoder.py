@@ -11,7 +11,7 @@ from gean.decoder import (CHANNELS, DecoderConfig, DecoderParams,
                           teacher_forced_loss, temporal_attention)
 from gean.errors import ConfigError, ContractError
 from gean.pools import POOL_FOVEA, POOL_MOTION, POOL_SCENE
-from gean.tensor import Tape, Tensor, no_grad
+from gean.tensor import Parameter, Tape, Tensor, no_grad
 from gean.text import Vocabulary
 
 CFG = DecoderConfig(vocab_size=6, embed=4, hidden=4, att=3, feat=5,
@@ -77,8 +77,7 @@ def test_attention_permutation_equivariance():
 
 def _zero_gru_args(h):
     z = lambda *s: Tensor(np.zeros(s))
-    return (z(h, h), z(h, h), z(h), z(h, h), z(h, h), z(h),
-            z(h, h), z(h, h))
+    return z(3 * h, h), z(2 * h, h), z(h, h), z(2 * h)
 
 
 def test_gru_zero_params_zero_state():
@@ -92,6 +91,68 @@ def test_gru_zero_params_halve_state():
     h_prev = np.random.default_rng(9).standard_normal(4)
     h = gru_step(x, Tensor(h_prev), *_zero_gru_args(4))
     np.testing.assert_allclose(h.data, 0.5 * h_prev, atol=1e-12)
+
+
+def per_gate_gru(x, h_prev, w, u, b):
+    """The standard GRU, one matmul per gate and side: w, u and b map gate
+    name to its block."""
+    mm = T.matmul
+    z = T.sigmoid(mm(w["z"], x) + mm(u["z"], h_prev) + b["z"])
+    r = T.sigmoid(mm(w["r"], x) + mm(u["r"], h_prev) + b["r"])
+    h_bar = T.tanh(mm(w["h"], x) + mm(u["h"], r * h_prev))
+    return (1.0 - z) * h_prev + z * h_bar
+
+
+def rel_err(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
+@pytest.mark.parametrize("prefix", ["att", "mm"])
+def test_fused_gru_is_the_per_gate_gru(prefix):
+    params = make_params(14)
+    fused = [params.params[n % prefix] for n in ("%s_w_zrh", "%s_u_zr",
+                                                  "%s_u_h", "b_%s_zr")]
+    # the bias starts at zero; give it values so its blocks are told apart
+    fused[3].data[...] = np.random.default_rng(15).standard_normal(
+        fused[3].shape)
+    rng = np.random.default_rng(16)
+    x = Parameter("x", rng.standard_normal(fused[0].shape[1]))
+    h_prev = Parameter("h", rng.standard_normal(CFG.hidden))
+    c = Tensor(np.cos(np.arange(CFG.hidden)))
+    # the per-gate reference is fed the sliced blocks of the fused weights
+    split = lambda t, gates: {g: Parameter(g, block) for g, block in
+                              zip(gates, np.split(t.data, len(gates)))}
+    w, b = split(fused[0], "zrh"), split(fused[3], "zr")
+    u = dict(split(fused[1], "zr"), **split(fused[2], "h"))
+    results = []
+    for run in (lambda: gru_step(x, h_prev, *fused),
+                lambda: per_gate_gru(x, h_prev, w, u, b)):
+        x.grad = h_prev.grad = None
+        with Tape() as tape:
+            out = run()
+            tape.backward(T.tensor_sum(out * c))
+        results.append((out.data, x.grad, h_prev.grad))
+    (out, *grads), (ref, *ref_grads) = results
+    assert out.dtype == ref.dtype == np.float64
+    assert rel_err(out, ref) <= 1e-12
+    for g, ref_g in zip(grads, ref_grads):
+        assert rel_err(g, ref_g) <= 1e-12
+    reference = [np.concatenate([w[g].grad for g in "zrh"]),
+                 np.concatenate([u[g].grad for g in "zr"]), u["h"].grad,
+                 np.concatenate([b[g].grad for g in "zr"])]
+    for param, ref_g in zip(fused, reference):
+        assert rel_err(param.grad, ref_g) <= 1e-12, param.name
+
+
+def test_recurrent_blocks_orthogonal_each():
+    params = make_params(17)
+    h = CFG.hidden
+    for name in ("att_u_zr", "mm_u_zr", "att_u_h", "mm_u_h"):
+        weights = params.params[name].data
+        assert weights.dtype == np.float64
+        for block in np.split(weights, len(weights) // h):
+            np.testing.assert_allclose(block @ block.T, np.eye(h), rtol=0,
+                                       atol=1e-12, err_msg=name)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from gean.errors import ContractError
 from gean.rgp import (RgpConfig, RgpParams, RgpTrainConfig, predict_gaze,
                       rgp_cell_step, rgp_loss_from_scores, rgp_readout_scores,
                       target_entropy, train_rgp)
-from gean.tensor import Tensor
+from gean.tensor import Parameter, Tape, Tensor
 
 SMALL = RgpConfig(in_channels=4, proj_channels=3, hidden=3,
                   readout_channels=(3, 2, 2))
@@ -29,6 +29,12 @@ def rgp_readout(h, params):
     return T.reshape(T.softmax(rgp_readout_scores(h, params)), (49, 49))
 
 
+def cell(x, h_prev, params):
+    """One ConvGRU step on a projected frame x."""
+    wx = T.conv2d(x, params.w_zrh, stride=1, pad=1)
+    return rgp_cell_step(wx, h_prev, params)
+
+
 def rgp_loss(preds, gts, mask):
     """The gaze loss of probability maps: log_softmax(log p) = log p."""
     n = len(preds)
@@ -43,7 +49,7 @@ def rgp_loss(preds, gts, mask):
 def test_zero_params_zero_state():
     params = small_params(zero=True)
     x = Tensor(np.random.default_rng(1).standard_normal((7, 7, 3)))
-    h = rgp_cell_step(x, Tensor(np.zeros((7, 7, 3))), params)
+    h = cell(x, Tensor(np.zeros((7, 7, 3))), params)
     np.testing.assert_array_equal(h.data, 0.0)
 
 
@@ -51,9 +57,54 @@ def test_zero_params_halve_state():
     params = small_params(zero=True)
     x = Tensor(np.random.default_rng(2).standard_normal((7, 7, 3)))
     h_prev = np.random.default_rng(3).standard_normal((7, 7, 3))
-    h = rgp_cell_step(x, Tensor(h_prev), params)
+    h = cell(x, Tensor(h_prev), params)
     # gates sit at sigmoid(0)=0.5 and the candidate is tanh(0)=0
     np.testing.assert_allclose(h.data, 0.5 * h_prev, atol=1e-12)
+
+
+def per_gate_cell(x, h_prev, w, u):
+    """The standard ConvGRU, one 3x3 conv per gate and side: w and u map
+    gate name to its kernel."""
+    conv = lambda a, k: T.conv2d(a, k, stride=1, pad=1)
+    z = T.sigmoid(conv(x, w["z"]) + conv(h_prev, u["z"]))
+    r = T.sigmoid(conv(x, w["r"]) + conv(h_prev, u["r"]))
+    h_bar = T.tanh(conv(x, w["h"]) + conv(r * h_prev, u["h"]))
+    return (1.0 - z) * h_prev + z * h_bar
+
+
+def rel_err(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
+def test_fused_cell_is_the_per_gate_conv_gru():
+    params = small_params(12)
+    rng = np.random.default_rng(13)
+    x = Parameter("x", rng.standard_normal((7, 7, 3)))
+    h_prev = Parameter("h", rng.standard_normal((7, 7, 3)))
+    c = Tensor(np.cos(np.arange(7 * 7 * 3)).reshape(7, 7, 3))
+    # the per-gate reference is fed the sliced blocks of the fused kernels
+    split = lambda t, gates: {g: Parameter(g, block) for g, block in
+                              zip(gates, np.split(t.data, len(gates), axis=3))}
+    w = split(params.w_zrh, "zrh")
+    u = dict(split(params.u_zr, "zr"), **split(params.u_h, "h"))
+    results = []
+    for run in (lambda: cell(x, h_prev, params),
+                lambda: per_gate_cell(x, h_prev, w, u)):
+        x.grad = h_prev.grad = None
+        with Tape() as tape:
+            out = run()
+            tape.backward(T.tensor_sum(out * c))
+        results.append((out.data, x.grad, h_prev.grad))
+    (fused, *fused_grads), (ref, *ref_grads) = results
+    assert fused.dtype == ref.dtype == np.float64
+    assert rel_err(fused, ref) <= 1e-12
+    for g, ref_g in zip(fused_grads, ref_grads):
+        assert rel_err(g, ref_g) <= 1e-12
+    reference = {"w_zrh": np.concatenate([w[g].grad for g in "zrh"], axis=3),
+                 "u_zr": np.concatenate([u[g].grad for g in "zr"], axis=3),
+                 "u_h": u["h"].grad}
+    for name, ref_g in reference.items():
+        assert rel_err(params.params[name].grad, ref_g) <= 1e-12, name
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +157,7 @@ def test_forward_single_frame_matches_manual():
     feat = np.random.default_rng(9).standard_normal((1, 7, 7, 4))
     auto = predict_gaze(feat, params)[0]
     x = T.conv2d(Tensor(feat[0]), params.p_in)
-    h = rgp_cell_step(x, Tensor(np.zeros((7, 7, 3))), params)
+    h = cell(x, Tensor(np.zeros((7, 7, 3))), params)
     manual = rgp_readout(h, params).data
     np.testing.assert_allclose(auto, manual, atol=1e-9)
 
