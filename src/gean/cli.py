@@ -252,6 +252,19 @@ def cmd_gradcheck(args):
 # Parser
 # ---------------------------------------------------------------------------
 
+def _count(text):
+    """argparse type of a count flag: a positive int, so that a zero count
+    cannot end in an empty report or a vacuous pass."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("%r is not an integer" % text) \
+            from None
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
+    return value
+
+
 def build_parser():
     parser = _Parser(prog="gean", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -264,14 +277,14 @@ def build_parser():
 
     p = sub.add_parser("make-synthetic")
     common(p, manifest=False)
-    p.add_argument("--clips", type=int, default=8)
-    p.add_argument("--frames", type=int, default=20)
+    p.add_argument("--clips", type=_count, default=8)
+    p.add_argument("--frames", type=_count, default=20)
     p.set_defaults(func=cmd_make_synthetic)
 
     p = sub.add_parser("train-rgp")
     common(p)
     p.add_argument("--lr", type=float, default=1e-4)
-    p.add_argument("--steps", type=int, default=2000)
+    p.add_argument("--steps", type=_count, default=2000)
     p.add_argument("--target-loss", type=float, default=None)
     p.set_defaults(func=cmd_train_rgp)
 
@@ -285,9 +298,9 @@ def build_parser():
     p.add_argument("--rgp", default=None)
     p.add_argument("--gaze", choices=GAZE_KINDS, default="learned")
     p.add_argument("--lr", type=float, default=1e-4)
-    p.add_argument("--steps", type=int, default=5000)
+    p.add_argument("--steps", type=_count, default=5000)
     p.add_argument("--l2", type=float, default=1e-5)
-    p.add_argument("--max-len", type=int, default=80)
+    p.add_argument("--max-len", type=_count, default=80)
     p.add_argument("--lambda", dest="lam", type=float, default=DEFAULT_LAMBDA)
     p.set_defaults(func=cmd_train_captioner)
 
@@ -297,7 +310,7 @@ def build_parser():
     p.add_argument("--decoder", required=True)
     p.add_argument("--decoder-meta", required=True)
     p.add_argument("--gaze", choices=GAZE_KINDS, default="learned")
-    p.add_argument("--max-len", type=int, default=80)
+    p.add_argument("--max-len", type=_count, default=80)
     p.add_argument("--lambda", dest="lam", type=float, default=DEFAULT_LAMBDA)
     p.set_defaults(func=cmd_caption)
 
@@ -306,8 +319,8 @@ def build_parser():
     p.add_argument("--rgp", default=None)
     p.add_argument("--copy-gt", action="store_true",
                    help="score the GT maps against themselves")
-    p.add_argument("--protocol-sets", type=int, default=10)
-    p.add_argument("--protocol-frames", type=int, default=3000)
+    p.add_argument("--protocol-sets", type=_count, default=10)
+    p.add_argument("--protocol-frames", type=_count, default=3000)
     p.set_defaults(func=cmd_eval_gaze)
 
     p = sub.add_parser("eval-captions")
@@ -317,7 +330,7 @@ def build_parser():
 
     p = sub.add_parser("gradcheck")
     common(p, manifest=False)
-    p.add_argument("--instances", type=int, default=20)
+    p.add_argument("--instances", type=_count, default=20)
     p.set_defaults(func=cmd_gradcheck)
 
     return parser

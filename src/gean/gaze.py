@@ -160,10 +160,26 @@ def fixation_pixels(fixations, height, width):
     return seen
 
 
+@functools.lru_cache(maxsize=8)
+def _pred_eval_matrix(n, out):
+    """(out, n) operator of one axis of pred_eval_map: the sigma=2 blur,
+    then the bilinear resize n -> out. Both are linear and act on each
+    axis apart; resizing the identity's rows gives the resize matrix
+    exactly, since its n -> n column pass has zero weights. Read-only,
+    since every caller shares the cached array."""
+    resize = bilinear_upsample(np.eye(n), out, n)
+    m = resize @ _blur_matrix(n, TRAIN_SIGMA)
+    m.setflags(write=False)
+    return m
+
+
 def pred_eval_map(pred, height, width):
-    """Predicted 49x49 map -> blur sigma=2 -> bilinear upsample -> min-max."""
-    return normalize_minmax(
-        bilinear_upsample(gaussian_blur(pred, TRAIN_SIGMA), height, width))
+    """Predicted 49x49 map -> blur sigma=2 -> bilinear upsample -> min-max,
+    as one cached operator per axis: M_h @ pred @ M_w^T."""
+    pred = np.asarray(pred, dtype=np.float64)
+    h, w = pred.shape
+    return normalize_minmax(_pred_eval_matrix(h, height) @ pred
+                            @ _pred_eval_matrix(w, width).T)
 
 
 def gt_eval_map(fixations, height, width):

@@ -38,15 +38,20 @@ def _auc_from_values(pos, neg):
     pos = np.asarray(pos, dtype=np.float64)
     neg = np.asarray(neg, dtype=np.float64)
     thresholds = np.unique(pos)[::-1]
-
-    def rate_at_or_above(values):
-        below = np.searchsorted(np.sort(values), thresholds, side="left")
-        return (values.size - below) / values.size
-
-    tpr = np.concatenate(([0.0], rate_at_or_above(pos), [1.0]))
-    fpr = np.concatenate(([0.0], rate_at_or_above(neg) if neg.size
-                          else np.zeros(thresholds.size), [1.0]))
+    tpr = _tpr(pos, thresholds)
+    fpr = np.concatenate(([0.0], _rate_at_or_above(neg, thresholds)
+                          if neg.size else np.zeros(thresholds.size), [1.0]))
     return float(np.trapezoid(tpr, fpr))
+
+
+def _rate_at_or_above(values, thresholds):
+    below = np.searchsorted(np.sort(values), thresholds, side="left")
+    return (values.size - below) / values.size
+
+
+def _tpr(pos, thresholds):
+    """ROC true-positive rates at (0, each threshold, 1)."""
+    return np.concatenate(([0.0], _rate_at_or_above(pos, thresholds), [1.0]))
 
 
 def auc_judd(saliency, fixations):
@@ -71,11 +76,16 @@ def sauc(saliency, fixations, shuffle_pool, n_splits=10, seed=0):
     pool = saliency[tuple(np.asarray(shuffle_pool).T)]
     rng = np.random.default_rng(seed)
     n_neg = min(len(pool), len(pos))
-    scores = []
-    for _ in range(n_splits):
-        neg = rng.choice(pool, size=n_neg, replace=False)
-        scores.append(_auc_from_values(pos, neg))
-    return float(np.mean(scores))
+    negs = np.stack([rng.choice(pool, size=n_neg, replace=False)
+                     for _ in range(n_splits)])
+    # _auc_from_values for all splits at once: the thresholds and TPR are
+    # shared; row s of fpr counts split s's negatives >= each threshold
+    thresholds = np.unique(pos)[::-1]
+    below = (negs[:, :, None] < thresholds).sum(axis=1)
+    fpr = np.zeros((n_splits, thresholds.size + 2))
+    fpr[:, 1:-1] = (n_neg - below) / n_neg
+    fpr[:, -1] = 1.0
+    return float(np.mean(np.trapezoid(_tpr(pos, thresholds), fpr, axis=-1)))
 
 
 def eval_protocol(clips, predictor, n_sets=10, set_size=3000, seed=0):

@@ -92,11 +92,13 @@ def rgp_readout_scores(h, params):
     """Readout logits: three deconvs, a 1x1 conv, 8x8 average pool.
 
     h: (7,7,hidden) or (N,7,7,hidden); returns (..., OUT_GRID**2) scores.
+    The 1x1 conv r follows d3 with nothing in between, so it is contracted
+    into d3's output channels: one (4,4,1,c2) kernel, one deconv.
     """
     y = T.conv_transpose2d(h, params.d1, stride=2, pad=1)
     y = T.conv_transpose2d(y, params.d2, stride=2, pad=1)
-    y = T.conv_transpose2d(y, params.d3, stride=2, pad=1)
-    y = T.conv2d(y, params.r)
+    k = T.tensor_sum(params.d3 * params.r, axis=2, keepdims=True)
+    y = T.conv_transpose2d(y, k, stride=2, pad=1)
     y = T.avg_pool2d(y, 8, 8, stride=1)
     lead = y.shape[:-3]
     return T.reshape(y, lead + (OUT_GRID * OUT_GRID,))

@@ -391,9 +391,9 @@ def narrow(a, axis, start, length):
 
     def backward(g):
         if a.requires_grad:
-            full = np.zeros(a.shape, dtype=g.dtype)
-            full[idx] = g
-            a.accumulate(full)
+            if a.grad is None:
+                a.grad = np.zeros_like(a.data)
+            a.grad[idx] += g
 
     return _make(data, backward, a.requires_grad)
 
@@ -580,7 +580,8 @@ def conv2d(x, kernel, stride=1, pad=0):
         out = (flat @ kernel.data.reshape(cin, cout)).reshape(n, ho, wo, cout)
         cols_flat = flat
     else:
-        xp = np.pad(xb, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+        xp = np.zeros((n, h + 2 * pad, w + 2 * pad, cin), dtype=xb.dtype)
+        xp[:, pad:pad + h, pad:pad + w] = xb
         cols = _im2col(xp, kh, kw, stride, ho, wo)
         cols_flat = np.ascontiguousarray(cols).reshape(n * ho * wo, kh * kw * cin)
         out = (cols_flat @ kernel.data.reshape(-1, cout)).reshape(n, ho, wo, cout)

@@ -37,6 +37,30 @@ def test_missing_subcommand_exit_1(capsys):
     assert main(["train-rgp"]) == 1  # missing required args
 
 
+@pytest.mark.parametrize("argv", [
+    ["make-synthetic", "--clips", "0"],
+    ["make-synthetic", "--frames", "0"],
+    ["train-rgp", "--manifest", "{manifest}", "--steps", "0"],
+    ["train-captioner", "--manifest", "{manifest}", "--steps", "0"],
+    ["train-captioner", "--manifest", "{manifest}", "--max-len", "0"],
+    ["caption", "--manifest", "{manifest}", "--decoder", "d.ckpt",
+     "--decoder-meta", "d.json", "--max-len", "0"],
+    ["eval-gaze", "--manifest", "{manifest}", "--copy-gt",
+     "--protocol-sets", "0"],
+    ["eval-gaze", "--manifest", "{manifest}", "--copy-gt",
+     "--protocol-frames", "0"],
+    ["gradcheck", "--instances", "0"],
+])
+def test_non_positive_count_flag_exit_1(dataset, tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    argv = [a.format(manifest=dataset) for a in argv] + ["--out", str(out)]
+    assert main(argv) == 1
+    flag = argv[argv.index("0") - 1]
+    assert ("argument %s: must be at least 1, got 0" % flag
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_gradcheck_exit_0(tmp_path):
     rc = main(["gradcheck", "--out", str(tmp_path), "--instances", "2",
                "--seed", "0"])

@@ -166,6 +166,19 @@ def test_eval_map_shapes():
     assert pe.shape == ge.shape == (98, 120)
 
 
+@pytest.mark.parametrize("size", [(98, 98), (98, 120)])
+def test_pred_eval_map_is_blur_then_resize(size):
+    rng = np.random.default_rng(17)
+    for pred in (rng.random((49, 49)).astype(np.float32),
+                 make_training_target([fix(0, 0, 0.3, 0.6),
+                                       fix(0, 1, 0.9, 0.1)])):
+        ref = normalize_minmax(bilinear_upsample(gaussian_blur(pred, 2.0),
+                                                 *size))
+        out = pred_eval_map(pred, *size)
+        assert out.shape == size and out.dtype == np.float64
+        np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12)
+
+
 def test_fixation_pixels_unique():
     recs = [fix(0, 0, 0.5, 0.5), fix(0, 1, 0.5, 0.5), fix(0, 2, 0.9, 0.1)]
     assert fixation_pixels(recs, 98, 98) == [(49, 49), (9, 88)]

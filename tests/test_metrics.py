@@ -170,6 +170,30 @@ def test_sauc_equals_per_pixel_reference():
         assert sauc(s, cells, pool, n_splits=10, seed=trial) == ref
 
 
+def test_sauc_equals_split_loop_over_auc_from_values():
+    # float saliency with ties; fewer positives than pool entries, so each
+    # split draws a strict subset of the pool
+    rng = np.random.default_rng(23)
+    levels = rng.random(4)
+    s = np.where(rng.random((15, 15)) < 0.5, levels[rng.integers(0, 4,
+                                                                 (15, 15))],
+                 rng.random((15, 15)))
+    for trial in range(20):
+        cells = [tuple(int(v) for v in p)
+                 for p in rng.integers(0, 15, (int(rng.integers(1, 12)), 2))]
+        pool = [tuple(int(v) for v in p)
+                for p in rng.integers(0, 15, (len(cells) + 1
+                                              + int(rng.integers(0, 40)), 2))]
+        pos = s[tuple(np.asarray(cells).T)]
+        values = s[tuple(np.asarray(pool).T)]
+        draw = np.random.default_rng(trial)
+        ref = float(np.mean([
+            _auc_from_values(pos, draw.choice(values, size=len(pos),
+                                              replace=False))
+            for _ in range(10)]))
+        assert sauc(s, cells, pool, n_splits=10, seed=trial) == ref
+
+
 def test_sauc_deterministic():
     rng = np.random.default_rng(8)
     s = rng.random((9, 9))

@@ -111,6 +111,39 @@ def test_fused_cell_is_the_per_gate_conv_gru():
 # readout
 # ---------------------------------------------------------------------------
 
+def unfolded_readout_scores(h, params):
+    """The readout as the model defines it: d3's deconv, then the 1x1 conv
+    r on its c3 channels."""
+    y = T.conv_transpose2d(h, params.d1, stride=2, pad=1)
+    y = T.conv_transpose2d(y, params.d2, stride=2, pad=1)
+    y = T.conv_transpose2d(y, params.d3, stride=2, pad=1)
+    y = T.avg_pool2d(T.conv2d(y, params.r), 8, 8, stride=1)
+    return T.reshape(y, y.shape[:-3] + (49 * 49,))
+
+
+def test_folded_readout_is_d3_then_r():
+    cfg = RgpConfig(in_channels=4, proj_channels=3, hidden=3,
+                    readout_channels=(4, 3, 5))
+    params = RgpParams.create(np.random.default_rng(14), cfg,
+                              dtype=np.float64)
+    rng = np.random.default_rng(15)
+    h = Parameter("h", rng.standard_normal((2, 7, 7, 3)))
+    c = Tensor(rng.standard_normal((2, 49 * 49)))
+    checked = [h] + [params.params[n] for n in ("d1", "d2", "d3", "r")]
+    results = []
+    for readout in (rgp_readout_scores, unfolded_readout_scores):
+        for p in checked:
+            p.grad = None
+        with Tape() as tape:
+            scores = readout(h, params)
+            tape.backward(T.tensor_sum(scores * c))
+        results.append([scores.data] + [p.grad for p in checked])
+    for folded, ref in zip(*results):
+        assert folded.dtype == ref.dtype == np.float64
+        assert folded.shape == ref.shape
+        assert rel_err(folded, ref) <= 1e-12
+
+
 def test_readout_uniform_for_zero_params():
     params = small_params(zero=True)
     m = rgp_readout(Tensor(np.random.default_rng(4).standard_normal((7, 7, 3))),

@@ -162,6 +162,32 @@ def test_avg_pool_matches_window_means(kh, kw, stride):
     np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-15)
 
 
+def test_narrow_slices_sum_their_gradients():
+    # adjacent slices [0,2) and [2,4), and [1,4) overlapping both. The
+    # backward sweep reaches the last slice first, while x has no grad,
+    # and the sumsq term's accumulate between the other slices
+    rng = np.random.default_rng(16)
+    x = Parameter("x", rng.standard_normal((6, 5, 3)))
+    spans = ((0, 2), (2, 2), (1, 3))
+    ws = [Tensor(rng.standard_normal((n, 5, 3))) for _, n in spans]
+
+    def term(k):
+        (s, n), w = spans[k], ws[k]
+        return T.tensor_sum(T.narrow(x, 0, s, n) * w)
+
+    def loss():
+        return term(0) + T.sumsq(x) + term(1) + term(2)
+
+    with Tape() as tape:
+        tape.backward(loss())
+    expected = 2 * x.data
+    for (s, n), w in zip(spans, ws):
+        expected[s:s + n] += w.data
+    np.testing.assert_allclose(x.grad, expected, rtol=1e-14, atol=1e-14)
+    x.grad = None
+    assert grad_check(loss, [x]) <= 1e-8
+
+
 def test_avg_pool_grad_check_rgp_window():
     rng = np.random.default_rng(13)
     x = Parameter("x", rng.standard_normal((2, 11, 10, 1)))
