@@ -110,11 +110,12 @@ def check_decode_step(rng, instances=20, config=SMALL_DECODER):
     def build(rng):
         params = DecoderParams.create(rng, config, dtype=np.float64)
         pools = _random_pools(rng, config)
+        words = [0, int(rng.integers(0, config.vocab_size))]
 
         def f():
-            state = DecoderState.initial(0, config, dtype=np.float64)
+            state = DecoderState.initial(config, dtype=np.float64)
             logits, _ = decode_step(state, attention_keys(pools, params),
-                                    params)
+                                    words, params)
             return _scalarize(logits)
 
         return f, params.all()
@@ -126,22 +127,17 @@ def check_caption_loss(rng, instances=20, config=SMALL_DECODER, n_words=2,
     def build(rng):
         params = DecoderParams.create(rng, config, dtype=np.float64)
         pools = _random_pools(rng, config)
-        targets = list(rng.integers(0, config.vocab_size, size=n_words))
+        targets = [int(t) for t in
+                   rng.integers(0, config.vocab_size, size=n_words)]
 
         def f():
-            keys = attention_keys(pools, params)
-            state = DecoderState.initial(0, config, dtype=np.float64)
-            logits_seq = []
-            prev = 0
-            for tgt in targets:
-                state.prev_word = prev
-                logits, state = decode_step(state, keys, params)
-                logits_seq.append(logits)
-                prev = int(tgt)
+            state = DecoderState.initial(config, dtype=np.float64)
+            logits, _ = decode_step(state, attention_keys(pools, params),
+                                    [0] + targets[:-1], params)
             # the l2 term covers weight matrices only, so the b_* biases
             # keep gradient elements near 1e-7; grad_check's long double
             # reference is what resolves them to 1e-4 relative error
-            return caption_loss(logits_seq, targets, params, l2_coeff=l2_coeff)
+            return caption_loss(logits, targets, params, l2_coeff=l2_coeff)
 
         return f, params.all()
     return _worst(rng, instances, build)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, DimensionError
 from .optim import (AdamState, finite_loss, init_orthogonal, init_xavier,
                     resolve_seed)
 from .pools import (DEFAULT_LAMBDA, POOL_FOVEA, POOL_MOTION, POOL_SCENE,
@@ -90,31 +90,40 @@ class DecoderParams(ParameterSet):
 
 
 class DecoderState:
-    """Hidden states, the previous word, and the last step's temporal
-    attention weights per channel."""
+    """Hidden states after the last word of a span, and each channel's
+    temporal attention weights for every word of that span, (L, T)."""
 
-    def __init__(self, h_att, h_m, prev_word, betas=None):
+    def __init__(self, h_att, h_m, betas=None):
         self.h_att = h_att
         self.h_m = h_m
-        self.prev_word = prev_word
         self.betas = betas or {}
 
     @classmethod
-    def initial(cls, bos, config, dtype=np.float32):
+    def initial(cls, config, dtype=np.float32):
         zero = lambda: Tensor(np.zeros(config.hidden, dtype=dtype))
-        return cls(zero(), zero(), bos)
+        return cls(zero(), zero())
 
 
-def gru_step(x, h_prev, w_zrh, u_zr, u_h, b_zr):
-    """Matrix GRU update: bias on the z|r gates only."""
-    return gru_update(T.matmul(w_zrh, x), T.matmul(u_zr, h_prev) + b_zr,
-                      h_prev, lambda rh: T.matmul(u_h, rh))
+def gru_step(wx, h_prev, u_zr, u_h, b_zr):
+    """Matrix GRU update given the input-side term wx = w_zrh @ x: bias on
+    the z|r gates only."""
+    return gru_update(wx, T.matmul(u_zr, h_prev) + b_zr, h_prev,
+                      lambda rh: T.matmul(u_h, rh))
 
 
-def _gru(params, prefix, x, h_prev):
+def _gru(params, prefix, x, h):
+    """One GRU over the L columns of x: the input product w_zrh @ x for
+    every word at once, then the recurrence word by word. Returns the
+    (hidden, L) states and the last one."""
     p = params.params
-    return gru_step(x, h_prev, p["%s_w_zrh" % prefix], p["%s_u_zr" % prefix],
-                    p["%s_u_h" % prefix], p["b_%s_zr" % prefix])
+    wx = T.matmul(p["%s_w_zrh" % prefix], x)
+    recurrent = (p["%s_u_zr" % prefix], p["%s_u_h" % prefix],
+                 p["b_%s_zr" % prefix])
+    states = []
+    for i in range(x.shape[1]):
+        h = gru_step(T.column(wx, i), h, *recurrent)
+        states.append(h)
+    return T.stack(states, axis=1), h
 
 
 def attention_keys(pools, params):
@@ -136,41 +145,66 @@ def attention_keys(pools, params):
 
 
 def temporal_attention(pool, pool_key, h_att, params, channel):
-    """Soft attention over one feature pool, given its key term
-    pool_key = pool @ Wq^T from `attention_keys`.
+    """Soft attention over one (T, f) feature pool for each of L words,
+    given its key term pool_key = pool @ Wq^T from `attention_keys` and
+    the (hidden, L) attention-GRU states.
 
-    Returns (u, beta): u = sum_tau beta_tau * v_tau with
-    beta = softmax(w . stanh(Wq v + Uq h_att + bq)).
+    Returns (u, beta), (L, f) and (L, T): u_l = sum_tau beta_l,tau v_tau
+    with beta_l = softmax(w . stanh(Wq v + Uq h_l + bq)).
     """
     p = params.params
-    energy = T.stanh(pool_key + T.matmul(p["uq_%s" % channel], h_att)
-                     + p["b_q_%s" % channel])
-    scores = T.matmul(energy, p["w_%s" % channel])
-    beta = T.softmax(scores)
+    query = T.transpose(T.matmul(p["uq_%s" % channel], h_att))
+    energy = T.stanh(pool_key + T.reshape(query, (query.shape[0], 1, -1))
+                     + p["b_q_%s" % channel])  # (L, T, att)
+    beta = T.softmax(T.matmul(energy, p["w_%s" % channel]))
     u = T.matmul(beta, pool)
     return u, beta
 
 
 def aggregate(u_s, u_m, u_f, h_att, params, dropout_on=False, rng=None):
     """Gated fusion q = stanh(([Ws u_s || Wm u_m || Wf u_f] + b_g) *
-    (U_g h_att)); inverted dropout on the output when training."""
+    (U_g h_att)) for L words, (agg, L); inverted dropout on the output
+    when training."""
     p = params.params
-    cat = T.concat([T.matmul(p["wg_scene"], u_s),
-                    T.matmul(p["wg_motion"], u_m),
-                    T.matmul(p["wg_fovea"], u_f)])
-    q = T.stanh((cat + p["b_g"]) * T.matmul(p["u_g"], h_att))
-    return T.dropout(q, DROPOUT, rng, dropout_on)
+    cat = T.concat([T.matmul(p["wg_scene"], T.transpose(u_s)),
+                    T.matmul(p["wg_motion"], T.transpose(u_m)),
+                    T.matmul(p["wg_fovea"], T.transpose(u_f))])
+    q = T.stanh((cat + T.reshape(p["b_g"], (-1, 1)))
+                * T.matmul(p["u_g"], h_att))
+    # one mask row per word, drawn in word order as one-word spans draw them
+    return T.transpose(T.dropout(T.transpose(q), DROPOUT, rng, dropout_on))
 
 
-def decode_step(state, keys, params, dropout_on=False, rng=None):
-    """One word step: update the attention GRU from the previous word,
-    attend each pool (`keys` from `attention_keys`), aggregate, update the
-    multimodal GRU, emit logits."""
-    if not (0 <= state.prev_word < params.config.vocab_size):
-        raise ContractError("previous word index %d out of vocabulary"
-                            % state.prev_word)
-    emb = T.column(params.embedding, state.prev_word)
-    h_att = _gru(params, "att", emb, state.h_att)
+def _span(words, vocab_size):
+    """The span as a 1-D integer array; ContractError naming the first
+    word outside the vocabulary by its position and index."""
+    words = np.asarray(words)
+    if words.ndim != 1 or words.size == 0:
+        raise ContractError("decode_step needs a non-empty 1-D span of "
+                            "words, got shape %s" % (words.shape,))
+    if not np.issubdtype(words.dtype, np.integer):
+        raise ContractError("span words must be integer indices, got %s"
+                            % words.dtype)
+    bad = np.flatnonzero((words < 0) | (words >= vocab_size))
+    if bad.size:
+        raise ContractError("span word %d has index %d, outside the "
+                            "vocabulary of %d" % (bad[0], words[bad[0]],
+                                                  vocab_size))
+    return words
+
+
+def decode_step(state, keys, words, params, dropout_on=False, rng=None):
+    """Run the decoder over a span of L >= 1 known input words: embed them,
+    update the attention GRU, attend each pool (`keys` from
+    `attention_keys`), aggregate, update the multimodal GRU, emit logits.
+
+    Only the two GRU recurrences run word by word; every other product
+    runs once for the whole span. Returns the (V, L) logits, column l
+    scoring the word after words[l], and the state after the last word.
+    """
+    words = _span(words, params.config.vocab_size)
+    emb = T.column(params.embedding, words)
+    h_att, last_att = _gru(params, "att", emb, state.h_att)
     attended = {}
     betas = {}
     for ch in CHANNELS:
@@ -178,25 +212,25 @@ def decode_step(state, keys, params, dropout_on=False, rng=None):
                                                      params, ch)
     q = aggregate(attended["scene"], attended["motion"], attended["fovea"],
                   h_att, params, dropout_on, rng)
-    h_m = _gru(params, "mm", T.concat([q, emb]), state.h_m)
-    logits = T.matmul(params.w_out, h_m) + params.b_out
-    next_state = DecoderState(h_att, h_m, state.prev_word, betas)
-    return logits, next_state
+    h_m, last_m = _gru(params, "mm", T.concat([q, emb]), state.h_m)
+    logits = T.matmul(params.w_out, h_m) + T.reshape(params.b_out, (-1, 1))
+    return logits, DecoderState(last_att, last_m, betas)
 
 
 def decode_greedy(pools, params, vocab, max_len=80):
-    """Greedy argmax decoding from <BOS>; stops at <EOS> or max_len."""
+    """Greedy argmax decoding from <BOS>, one one-word span per step;
+    stops at <EOS> or max_len."""
     with no_grad():
         keys = attention_keys(pools, params)
-        state = DecoderState.initial(vocab.bos, params.config)
+        state = DecoderState.initial(params.config)
+        word = vocab.bos
         out = []
         for _ in range(max_len):
-            logits, state = decode_step(state, keys, params)
-            word = int(np.argmax(logits.data))
+            logits, state = decode_step(state, keys, [word], params)
+            word = int(np.argmax(logits.data[:, 0]))
             if word == vocab.eos:
                 break
             out.append(word)
-            state.prev_word = word
         return out
 
 
@@ -210,15 +244,19 @@ def l2_penalty(params, coeff):
     return coeff * total
 
 
-def caption_loss(logits_seq, targets, params, l2_coeff=0.0):
-    """Mean per-step cross-entropy plus l2 over weight matrices."""
-    if not targets:
+def caption_loss(logits, targets, params, l2_coeff=0.0):
+    """Mean cross-entropy of (V, L) logits against L targets, one
+    log_softmax over the vocabulary axis and one gather, plus l2 over
+    weight matrices."""
+    n = len(targets)
+    if not n:
         raise ContractError("empty ground-truth sequence")
-    total = None
-    for logits, tgt in zip(logits_seq, targets):
-        nll = -T.index(T.log_softmax(logits), tgt)
-        total = nll if total is None else total + nll
-    loss = (1.0 / len(targets)) * total
+    if logits.ndim != 2 or logits.shape[1] != n:
+        raise DimensionError("logits of shape %s for %d targets"
+                             % (logits.shape, n))
+    picked = T.index(T.log_softmax(logits, axis=0),
+                     (np.asarray(targets), np.arange(n)))
+    loss = (-1.0 / n) * T.tensor_sum(picked)
     if l2_coeff:
         loss = loss + l2_penalty(params, l2_coeff)
     return loss
@@ -226,19 +264,15 @@ def caption_loss(logits_seq, targets, params, l2_coeff=0.0):
 
 def teacher_forced_loss(pools, token_ids, params, vocab, l2_coeff=0.0,
                         dropout_on=False, rng=None, max_len=80):
-    """Teacher forcing over <BOS> w1..wL with targets w1..wL <EOS>."""
+    """Teacher forcing over <BOS> w1..wL with targets w1..wL <EOS>, as one
+    decode_step span."""
     token_ids = list(token_ids)[:max_len]
     if not token_ids:
         raise ContractError("empty ground-truth sequence")
-    targets = token_ids + [vocab.eos]
-    keys = attention_keys(pools, params)
-    state = DecoderState.initial(vocab.bos, params.config)
-    logits_seq = []
-    for prev, tgt in zip([vocab.bos] + token_ids, targets):
-        state.prev_word = prev
-        logits, state = decode_step(state, keys, params, dropout_on, rng)
-        logits_seq.append(logits)
-    return caption_loss(logits_seq, targets, params, l2_coeff)
+    state = DecoderState.initial(params.config)
+    logits, _ = decode_step(state, attention_keys(pools, params),
+                            [vocab.bos] + token_ids, params, dropout_on, rng)
+    return caption_loss(logits, token_ids + [vocab.eos], params, l2_coeff)
 
 
 def build_clip_pools(scene, motion, fovea, rgp_params=None, gaze="learned",

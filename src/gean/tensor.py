@@ -269,13 +269,13 @@ def matmul(a, b):
 
     def backward(g):
         ad, bd = a.data, b.data
-        if ad.ndim == 2 and bd.ndim == 1:
+        if ad.ndim >= 2 and bd.ndim == 1:
             if pending is not None:
                 pending.append((g, bd))
             elif a.requires_grad:
-                a.accumulate(np.outer(g, bd))
+                a.accumulate(g[..., None] * bd)
             if b.requires_grad:
-                b.accumulate(ad.T @ g)
+                b.accumulate(ad.reshape(-1, bd.size).T @ g.reshape(-1))
         elif ad.ndim == 1 and bd.ndim == 2:
             if a.requires_grad:
                 a.accumulate(bd @ g)
@@ -399,23 +399,23 @@ def narrow(a, axis, start, length):
 
 
 def index(a, i):
-    """Scalar pick a[i] from a 1-D tensor."""
+    """Gather a[i]: i is an integer, an index array, or a tuple of index
+    arrays, one per leading axis. Repeated indices sum their gradients."""
     a = _as_tensor(a)
-    if a.ndim != 1:
-        raise DimensionError("index expects a 1-D tensor")
     data = a.data[i]
 
     def backward(g):
         if a.requires_grad:
             full = np.zeros(a.shape, dtype=a.data.dtype)
-            full[i] = g
+            np.add.at(full, i, g)
             a.accumulate(full)
 
     return _make(data, backward, a.requires_grad)
 
 
 def column(M, j):
-    """Column M[:, j] of a matrix (embedding lookup)."""
+    """Column M[:, j] of a matrix, or the columns M[:, j] for an index
+    array j (embedding lookup); repeated columns sum their gradients."""
     M = _as_tensor(M)
     if M.ndim != 2:
         raise DimensionError("column expects a 2-D tensor")
@@ -425,7 +425,10 @@ def column(M, j):
         if M.requires_grad:
             if M.grad is None:
                 M.grad = np.zeros_like(M.data)
-            M.grad[:, j] += g
+            if np.ndim(j):
+                np.add.at(M.grad, (slice(None), j), g)
+            else:  # one column: a plain add, 6x cheaper than np.add.at
+                M.grad[:, j] += g
 
     return _make(data, backward, M.requires_grad)
 

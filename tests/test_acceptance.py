@@ -112,10 +112,10 @@ def test_distribution_invariants():
         assert alpha.min() > 0.0
         pools = {ch: Tensor(rng.standard_normal((3, checks.SMALL_DECODER.feat)))
                  for ch in decoder.CHANNELS}
-        state = decoder.DecoderState.initial(0, checks.SMALL_DECODER,
+        state = decoder.DecoderState.initial(checks.SMALL_DECODER,
                                              dtype=np.float64)
         _, state = decoder.decode_step(
-            state, decoder.attention_keys(pools, dparams), dparams)
+            state, decoder.attention_keys(pools, dparams), [0], dparams)
         for beta in state.betas.values():
             assert abs(beta.data.sum() - 1.0) <= 1e-6
     elapsed = time.time() - start

@@ -1,15 +1,16 @@
 """Caption-decoder tests: temporal attention, GRU steps, aggregation,
-full decode steps, greedy decoding, and the loss."""
+decode spans against a word-by-word reference, greedy decoding, and the
+loss."""
 
 import numpy as np
 import pytest
 
 from gean import tensor as T
-from gean.decoder import (CHANNELS, DecoderConfig, DecoderParams,
+from gean.decoder import (CHANNELS, DROPOUT, DecoderConfig, DecoderParams,
                           DecoderState, attention_keys, build_clip_pools,
                           caption_loss, decode_greedy, decode_step, gru_step,
-                          teacher_forced_loss, temporal_attention)
-from gean.errors import ConfigError, ContractError
+                          l2_penalty, teacher_forced_loss, temporal_attention)
+from gean.errors import ConfigError, ContractError, DimensionError
 from gean.pools import POOL_FOVEA, POOL_MOTION, POOL_SCENE
 from gean.tensor import Parameter, Tape, Tensor, no_grad
 from gean.text import Vocabulary
@@ -37,8 +38,13 @@ def make_pools(seed=0, n=4):
 # ---------------------------------------------------------------------------
 
 def attend(pool, h, params, channel):
+    """Attention for one word: h as a one-column span, u and beta as its
+    rows."""
     keys = attention_keys({ch: pool for ch in CHANNELS}, params)
-    return temporal_attention(*keys[channel], h, params, channel)
+    u, beta = temporal_attention(*keys[channel], Tensor(h.data[:, None]),
+                                 params, channel)
+    assert u.shape == (1, CFG.feat) and beta.shape == (1, pool.shape[0])
+    return Tensor(u.data[0]), Tensor(beta.data[0])
 
 
 def test_attention_equal_vectors_returns_them():
@@ -75,21 +81,25 @@ def test_attention_permutation_equivariance():
 # GRU
 # ---------------------------------------------------------------------------
 
-def _zero_gru_args(h):
+def _zero_gru_args(x, h):
+    """The input term of all-zero input weights, then zero u_zr, u_h and
+    b_zr."""
     z = lambda *s: Tensor(np.zeros(s))
-    return z(3 * h, h), z(2 * h, h), z(h, h), z(2 * h)
+    return T.matmul(z(3 * h, x.shape[0]), x), z(2 * h, h), z(h, h), z(2 * h)
 
 
 def test_gru_zero_params_zero_state():
     x = Tensor(np.random.default_rng(7).standard_normal(4))
-    h = gru_step(x, Tensor(np.zeros(4)), *_zero_gru_args(4))
+    wx, *recurrent = _zero_gru_args(x, 4)
+    h = gru_step(wx, Tensor(np.zeros(4)), *recurrent)
     np.testing.assert_array_equal(h.data, 0.0)
 
 
 def test_gru_zero_params_halve_state():
     x = Tensor(np.random.default_rng(8).standard_normal(4))
     h_prev = np.random.default_rng(9).standard_normal(4)
-    h = gru_step(x, Tensor(h_prev), *_zero_gru_args(4))
+    wx, *recurrent = _zero_gru_args(x, 4)
+    h = gru_step(wx, Tensor(h_prev), *recurrent)
     np.testing.assert_allclose(h.data, 0.5 * h_prev, atol=1e-12)
 
 
@@ -125,7 +135,7 @@ def test_fused_gru_is_the_per_gate_gru(prefix):
     w, b = split(fused[0], "zrh"), split(fused[3], "zr")
     u = dict(split(fused[1], "zr"), **split(fused[2], "h"))
     results = []
-    for run in (lambda: gru_step(x, h_prev, *fused),
+    for run in (lambda: gru_step(T.matmul(fused[0], x), h_prev, *fused[1:]),
                 lambda: per_gate_gru(x, h_prev, w, u, b)):
         x.grad = h_prev.grad = None
         with Tape() as tape:
@@ -162,11 +172,11 @@ def test_recurrent_blocks_orthogonal_each():
 def test_decode_step_deterministic_and_bounded():
     params = make_params(10)
     pools = make_pools(11)
-    s0 = DecoderState.initial(0, CFG, dtype=np.float64)
+    s0 = DecoderState.initial(CFG, dtype=np.float64)
     keys = attention_keys(pools, params)
-    l1, n1 = decode_step(s0, keys, params)
-    s0b = DecoderState.initial(0, CFG, dtype=np.float64)
-    l2, _ = decode_step(s0b, keys, params)
+    l1, n1 = decode_step(s0, keys, [0], params)
+    s0b = DecoderState.initial(CFG, dtype=np.float64)
+    l2, _ = decode_step(s0b, keys, [0], params)
     np.testing.assert_array_equal(l1.data, l2.data)
     probs = np.exp(l1.data - l1.data.max())
     probs /= probs.sum()
@@ -183,18 +193,25 @@ def test_decode_step_zero_hidden_gives_zero_fusion():
         if name.startswith(("att_", "b_att")):
             params.params[name].data[...] = 0.0
     pools = make_pools(13)
-    logits, _ = decode_step(DecoderState.initial(0, CFG, dtype=np.float64),
-                            attention_keys(pools, params), params)
+    logits, _ = decode_step(DecoderState.initial(CFG, dtype=np.float64),
+                            attention_keys(pools, params), [0], params)
     # with q = 0 and h_m starting at 0, the logits reduce to the bias path
     assert np.all(np.isfinite(logits.data))
 
 
 def test_decode_step_rejects_bad_word():
+    # checked before any tape node: a bad word records nothing
     params = make_params()
-    state = DecoderState.initial(0, CFG, dtype=np.float64)
-    state.prev_word = CFG.vocab_size
-    with pytest.raises(ContractError):
-        decode_step(state, attention_keys(make_pools(), params), params)
+    keys = attention_keys(make_pools(), params)
+    state = DecoderState.initial(CFG, dtype=np.float64)
+    for words, message in (([CFG.vocab_size], "span word 0 has index 6"),
+                           ([0, 3, -1, 4, 2], "span word 2 has index -1"),
+                           ([1, 2, 3, 4, 7], "span word 4 has index 7"),
+                           ([], "non-empty"), ([1.0, 2.0], "integer")):
+        with Tape() as tape:
+            with pytest.raises(ContractError, match=message):
+                decode_step(state, keys, words, params)
+        assert tape._nodes == [], words
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +246,8 @@ def test_greedy_numpy_pools_decode_in_weight_dtype():
     vocab = _vocab()
     assert (decode_greedy(pools, params, vocab, max_len=12)
             == decode_greedy(tensors, params, vocab, max_len=12))
-    logits, _ = decode_step(DecoderState.initial(0, CFG),
-                            attention_keys(pools, params), params)
+    logits, _ = decode_step(DecoderState.initial(CFG),
+                            attention_keys(pools, params), [0], params)
     assert logits.data.dtype == np.float32
 
 
@@ -251,7 +268,7 @@ def test_caption_loss_uniform_ln4():
                          agg_splits=(1, 1, 1))
     params = DecoderParams.create(np.random.default_rng(0), cfg4,
                                   dtype=np.float64)
-    logits = [Tensor(np.zeros(4)) for _ in range(3)]
+    logits = Tensor(np.zeros((4, 3)))
     loss = caption_loss(logits, [1, 2, 3], params, l2_coeff=0.0)
     assert loss.item() == pytest.approx(np.log(4.0), abs=1e-9)
 
@@ -269,9 +286,15 @@ def test_caption_loss_empty_targets():
         caption_loss([], [], make_params())
 
 
+def test_caption_loss_rejects_length_mismatch():
+    with pytest.raises(DimensionError, match="for 3 targets"):
+        caption_loss(Tensor(np.zeros((CFG.vocab_size, 2))), [1, 2, 3],
+                     make_params())
+
+
 def test_l2_term_added():
     params = make_params(14)
-    logits = [Tensor(np.zeros(CFG.vocab_size))]
+    logits = Tensor(np.zeros((CFG.vocab_size, 1)))
     base = caption_loss(logits, [1], params, l2_coeff=0.0).item()
     with_l2 = caption_loss(logits, [1], params, l2_coeff=1e-3).item()
     assert with_l2 > base
@@ -309,9 +332,11 @@ def test_build_clip_pools_learned_requires_rgp():
 # key term once per caption against the per-word key term
 # ---------------------------------------------------------------------------
 
-def _per_word_decode_step(state, pools, params, dropout_on=False, rng=None):
-    """decode_step with pool @ Wq^T (and the pool's cast to the weights'
-    dtype) recomputed at every word: the reference for attention_keys."""
+def _per_word_decode_step(state, word, pools, params, dropout_on=False,
+                          rng=None):
+    """A one-word decode_step with pool @ Wq^T (and the pool's cast to the
+    weights' dtype) recomputed at every word: the reference for
+    attention_keys."""
     keys = {}
     for ch in CHANNELS:
         wq = params.params["wq_%s" % ch]
@@ -319,7 +344,7 @@ def _per_word_decode_step(state, pools, params, dropout_on=False, rng=None):
         if not isinstance(pool, Tensor):
             pool = Tensor(pool, dtype=wq.data.dtype)
         keys[ch] = (pool, T.matmul(pool, T.transpose(wq)))
-    return decode_step(state, keys, params, dropout_on, rng)
+    return decode_step(state, keys, [word], params, dropout_on, rng)
 
 
 def test_teacher_forced_keys_once_match_per_word_keys():
@@ -339,14 +364,14 @@ def test_teacher_forced_keys_once_match_per_word_keys():
         return loss.item(), grads
 
     def reference(rng):
-        state = DecoderState.initial(vocab.bos, CFG, dtype=np.float64)
+        state = DecoderState.initial(CFG, dtype=np.float64)
         logits_seq = []
         for prev in [vocab.bos] + ids:
-            state.prev_word = prev
-            logits, state = _per_word_decode_step(state, pools, params,
+            logits, state = _per_word_decode_step(state, prev, pools, params,
                                                   True, rng)
             logits_seq.append(logits)
-        return caption_loss(logits_seq, ids + [vocab.eos], params, 1e-3)
+        return caption_loss(T.concat(logits_seq, axis=1), ids + [vocab.eos],
+                            params, 1e-3)
 
     loss, grads = run(lambda rng: teacher_forced_loss(
         pools, ids, params, vocab, 1e-3, dropout_on=True, rng=rng))
@@ -375,17 +400,140 @@ def test_greedy_keys_once_bit_identical_to_per_word_keys(monkeypatch):
     monkeypatch.setattr("gean.decoder.decode_step", recording_step)
     ids = decode_greedy(pools, params, vocab, max_len=12)
     monkeypatch.undo()
-    state = DecoderState.initial(vocab.bos, CFG)
+    state = DecoderState.initial(CFG)
     ref_ids, ref_logits = [], []
+    word = vocab.bos
     with no_grad():
         for _ in range(12):
-            logits, state = _per_word_decode_step(state, pools, params)
+            logits, state = _per_word_decode_step(state, word, pools, params)
             ref_logits.append(logits.data)
             word = int(np.argmax(logits.data))
             if word == vocab.eos:
                 break
             ref_ids.append(word)
-            state.prev_word = word
     assert ids == ref_ids and len(seen) == len(ref_logits) == 12
     for a, b in zip(seen, ref_logits):
         assert a.dtype == np.float32 and np.array_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
+# one span against the word-by-word decoder
+# ---------------------------------------------------------------------------
+
+def per_word_step(word, h_att, h_m, keys, params, dropout_on=False,
+                  rng=None):
+    """One word of the decoder with every product a matrix @ vector, as it
+    ran before spans: returns the (V,) logits and both new states."""
+    p = params.params
+
+    def gru(prefix, x, h):
+        return gru_step(T.matmul(p["%s_w_zrh" % prefix], x), h,
+                        p["%s_u_zr" % prefix], p["%s_u_h" % prefix],
+                        p["b_%s_zr" % prefix])
+
+    emb = T.column(params.embedding, word)
+    h_att = gru("att", emb, h_att)
+    cat = []
+    for ch in CHANNELS:
+        pool, key = keys[ch]
+        energy = T.stanh(key + T.matmul(p["uq_%s" % ch], h_att)
+                         + p["b_q_%s" % ch])
+        beta = T.softmax(T.matmul(energy, p["w_%s" % ch]))
+        cat.append(T.matmul(p["wg_%s" % ch], T.matmul(beta, pool)))
+    q = T.stanh((T.concat(cat) + p["b_g"]) * T.matmul(p["u_g"], h_att))
+    q = T.dropout(q, DROPOUT, rng, dropout_on)
+    h_m = gru("mm", T.concat([q, emb]), h_m)
+    return T.matmul(params.w_out, h_m) + params.b_out, h_att, h_m
+
+
+def per_word_loss(pools, ids, params, vocab, l2_coeff, dropout_on, rng):
+    """Teacher forcing one word at a time: a per-word cross-entropy summed
+    word by word."""
+    keys = attention_keys(pools, params)
+    h_att = h_m = Tensor(np.zeros(params.config.hidden))
+    total = None
+    for prev, tgt in zip([vocab.bos] + ids, ids + [vocab.eos]):
+        logits, h_att, h_m = per_word_step(prev, h_att, h_m, keys, params,
+                                           dropout_on, rng)
+        nll = -T.index(T.log_softmax(logits), tgt)
+        total = nll if total is None else total + nll
+    return (1.0 / (len(ids) + 1)) * total + l2_penalty(params, l2_coeff)
+
+
+def _loss_and_grads(params, loss_fn):
+    for p in params.all():
+        p.grad = None
+    with Tape() as tape:
+        loss = loss_fn()
+        tape.backward(loss)
+    grads = {p.name: p.grad for p in params.all()}
+    for p in params.all():
+        p.grad = None
+    return loss.item(), grads
+
+
+@pytest.mark.parametrize("dropout_on", [False, True])
+@pytest.mark.parametrize("n_tokens", [1, 4, 26])
+def test_span_matches_per_word_decoder(n_tokens, dropout_on):
+    params = make_params(31)
+    pools = {ch: np.random.default_rng(32).standard_normal((4, CFG.feat))
+             for ch in CHANNELS}
+    vocab = _vocab()
+    # words 3..5 with repeats, so the embedding gather adds repeated columns
+    ids = [int(w) for w in np.random.default_rng(33).integers(3, 6, n_tokens)]
+    loss, grads = _loss_and_grads(params, lambda: teacher_forced_loss(
+        pools, ids, params, vocab, 1e-3, dropout_on,
+        np.random.default_rng(34)))
+    ref_loss, ref_grads = _loss_and_grads(params, lambda: per_word_loss(
+        pools, ids, params, vocab, 1e-3, dropout_on,
+        np.random.default_rng(34)))
+    assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+    assert grads.keys() == ref_grads.keys() == set(params.params)
+    for name, g in grads.items():
+        ref = ref_grads[name]
+        assert g.dtype == ref.dtype == np.float64
+        scale = np.max(np.abs(ref))
+        assert scale > 0, name
+        assert np.max(np.abs(g - ref)) <= 1e-12 * scale, name
+
+
+def test_span_keeps_every_words_betas():
+    params = make_params(35)
+    pools = make_pools(36, n=5)
+    vocab = _vocab()
+    words = [vocab.bos, 3, 5, 3, 4, 4, 5]
+    with Tape() as tape:
+        logits, state = decode_step(DecoderState.initial(CFG, np.float64),
+                                    attention_keys(pools, params), words,
+                                    params, True, np.random.default_rng(37))
+        tape.backward(caption_loss(logits, words[1:] + [vocab.eos], params))
+    assert logits.shape == (CFG.vocab_size, len(words))
+    assert set(state.betas) == set(CHANNELS)
+    for beta in state.betas.values():
+        assert beta.shape == (len(words), 5)
+        assert np.all(beta.data > 0)
+        np.testing.assert_allclose(beta.data.sum(axis=1), 1.0, rtol=0,
+                                   atol=1e-12)
+
+
+def test_greedy_ids_match_per_word_decoder():
+    # float32 weights and float64 numpy pools, as `gean caption` decodes
+    params = DecoderParams.create(np.random.default_rng(38), CFG)
+    pools = {ch: np.random.default_rng(39).standard_normal((4, CFG.feat))
+             for ch in CHANNELS}
+    vocab = _vocab()
+    params.b_out.data[vocab.eos] = -3.0  # long enough, but <EOS> can win
+    ids = decode_greedy(pools, params, vocab, max_len=20)
+    ref = []
+    with no_grad():
+        keys = attention_keys(pools, params)
+        h_att = h_m = Tensor(np.zeros(CFG.hidden, dtype=np.float32))
+        word = vocab.bos
+        for _ in range(20):
+            logits, h_att, h_m = per_word_step(word, h_att, h_m, keys, params)
+            word = int(np.argmax(logits.data))
+            if word == vocab.eos:
+                break
+            ref.append(word)
+    assert len(ref) >= 3 and len(set(ref)) >= 2
+    assert ids == ref
