@@ -33,58 +33,19 @@ def _worst(rng, instances, build):
     return worst
 
 
-def check_conv2d(rng, instances=20):
-    def build(rng):
-        x = _param(rng, 5, 5, 2)
-        k = _param(rng, 3, 3, 2, 3)
-        return (lambda: _scalarize(T.conv2d(x, k, stride=1, pad=1)),
-                [x, k])
-    return _worst(rng, instances, build)
+def _op_check(op, *shapes):
+    """Check of op(*params) for Parameters of these shapes, drawn in order."""
+    def check(rng, instances=20):
+        def build(rng):
+            params = [_param(rng, *shape) for shape in shapes]
+            return (lambda: _scalarize(op(*params)), params)
+        return _worst(rng, instances, build)
+    return check
 
 
-def check_conv_transpose2d(rng, instances=20):
-    def build(rng):
-        x = _param(rng, 3, 3, 2)
-        k = _param(rng, 4, 4, 3, 2)
-        return (lambda: _scalarize(T.conv_transpose2d(x, k, stride=2, pad=1)),
-                [x, k])
-    return _worst(rng, instances, build)
-
-
-def check_avg_pool2d(rng, instances=20):
-    def build(rng):
-        x = _param(rng, 6, 6, 2)
-        return (lambda: _scalarize(T.avg_pool2d(x, 3, 3, 2)), [x])
-    return _worst(rng, instances, build)
-
-
-def check_affine_activations(rng, instances=20):
-    def build(rng):
-        W = _param(rng, 4, 5)
-        b = _param(rng, 4)
-        x = _param(rng, 5)
-
-        def f():
-            y = T.add(T.matmul(W, x), b)
-            y = T.sigmoid(y) + T.tanh(y) + T.stanh(y)
-            return _scalarize(y)
-
-        return f, [W, b, x]
-    return _worst(rng, instances, build)
-
-
-def check_softmax(rng, instances=20):
-    def build(rng):
-        x = _param(rng, 7)
-        return (lambda: _scalarize(T.softmax(x)), [x])
-    return _worst(rng, instances, build)
-
-
-def check_log_softmax(rng, instances=20):
-    def build(rng):
-        x = _param(rng, 7)
-        return (lambda: _scalarize(T.log_softmax(x)), [x])
-    return _worst(rng, instances, build)
+def _affine_activations(W, b, x):
+    y = T.add(T.matmul(W, x), b)
+    return T.sigmoid(y) + T.tanh(y) + T.stanh(y)
 
 
 def check_rgp_cell(rng, instances=20, config=SMALL_RGP):
@@ -144,12 +105,15 @@ def check_caption_loss(rng, instances=20, config=SMALL_DECODER, n_words=2,
 
 
 CHECKS = {
-    "conv2d": check_conv2d,
-    "conv_transpose2d": check_conv_transpose2d,
-    "avg_pool2d": check_avg_pool2d,
-    "affine_activations": check_affine_activations,
-    "softmax": check_softmax,
-    "log_softmax": check_log_softmax,
+    "conv2d": _op_check(lambda x, k: T.conv2d(x, k, stride=1, pad=1),
+                        (5, 5, 2), (3, 3, 2, 3)),
+    "conv_transpose2d": _op_check(
+        lambda x, k: T.conv_transpose2d(x, k, stride=2, pad=1),
+        (3, 3, 2), (4, 4, 3, 2)),
+    "avg_pool2d": _op_check(lambda x: T.avg_pool2d(x, 3, 3, 2), (6, 6, 2)),
+    "affine_activations": _op_check(_affine_activations, (4, 5), (4,), (5,)),
+    "softmax": _op_check(T.softmax, (7,)),
+    "log_softmax": _op_check(T.log_softmax, (7,)),
     "rgp_cell": check_rgp_cell,
     "decode_step": check_decode_step,
     "caption_loss": check_caption_loss,

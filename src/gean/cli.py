@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from . import data, decoder, metrics, rgp
-from .errors import ContractError, GeanError
+from .errors import ContractError, DimensionError, GeanError
 from .optim import resolve_seed
 from .pools import DEFAULT_LAMBDA
 from .tensor import require_parameters
@@ -57,10 +57,19 @@ def _out_dir(args):
     return out
 
 
+def _sizing(path, arrays, names, ndim):
+    """Check the checkpoint arrays a config's sizes are read from: each
+    must be there, with `ndim` axes, before its shape is unpacked."""
+    require_parameters(names, arrays)
+    for name in names:
+        if arrays[name].ndim != ndim:
+            raise DimensionError("checkpoint %s: %r has %d axes, not %d"
+                                 % (path, name, arrays[name].ndim, ndim))
+
+
 def _load_rgp(path):
     arrays = data.load_checkpoint(path)
-    # the sizes come from the arrays, so check the names before reading them
-    require_parameters(rgp.RgpParams.NAMES, arrays)
+    _sizing(path, arrays, rgp.RgpParams.NAMES, 4)
     kh, kw, cin, cp = arrays["p_in"].shape
     cfg = rgp.RgpConfig(in_channels=cin, proj_channels=cp,
                         hidden=arrays["u_h"].shape[-1],
@@ -72,16 +81,6 @@ def _load_rgp(path):
     return params
 
 
-_META_CONFIG_KEYS = ("embed", "hidden", "att", "feat", "agg_splits")
-
-
-def _positive_ints(value, count):
-    """True if `value` is one positive int (count 1) or a list of `count`."""
-    values = value if isinstance(value, list) and count > 1 else [value]
-    return len(values) == count and all(type(v) is int and v > 0
-                                        for v in values)
-
-
 def _load_decoder(ckpt_path, meta_path):
     meta = data.load_json(meta_path, "decoder meta")
     words = meta.get("words") if isinstance(meta, dict) else None
@@ -89,20 +88,23 @@ def _load_decoder(ckpt_path, meta_path):
             and all(isinstance(w, str) for w in words)):
         raise ContractError("decoder meta %s: 'words' is missing or not a "
                             "list of strings" % meta_path)
-    config = meta.get("config")
-    if not isinstance(config, dict):
-        raise ContractError("decoder meta %s: 'config' is missing or not an "
-                            "object" % meta_path)
-    for key, value in config.items():
-        count = len(decoder.CHANNELS) if key == "agg_splits" else 1
-        if key not in _META_CONFIG_KEYS or not _positive_ints(value, count):
-            raise ContractError("decoder meta %s: config key %r is unknown or "
-                                "not %d positive integer(s)"
-                                % (meta_path, key, count))
     vocab = Vocabulary(words)
-    cfg = decoder.DecoderConfig(vocab_size=len(vocab), **config)
+    arrays = data.load_checkpoint(ckpt_path)
+    wg = ["wg_%s" % ch for ch in decoder.CHANNELS]
+    _sizing(ckpt_path, arrays, ["embedding", "uq_scene", "wq_scene"] + wg, 2)
+    embed, vocab_size = arrays["embedding"].shape
+    if vocab_size != len(vocab):
+        raise ContractError("decoder checkpoint %s has %d embedding columns, "
+                            "but decoder meta %s gives %d words + 3 reserved"
+                            % (ckpt_path, vocab_size, meta_path,
+                               len(vocab) - 3))
+    att, hidden = arrays["uq_scene"].shape
+    cfg = decoder.DecoderConfig(
+        vocab_size=vocab_size, embed=embed, hidden=hidden, att=att,
+        feat=arrays["wq_scene"].shape[1],
+        agg_splits=tuple(arrays[n].shape[0] for n in wg))
     params = decoder.DecoderParams.create(np.random.default_rng(0), cfg)
-    params.load_state_dict(data.load_checkpoint(ckpt_path))
+    params.load_state_dict(arrays)
     return params, vocab
 
 
@@ -161,11 +163,8 @@ def cmd_train_captioner(args):
                                      lam=args.lam, gaze=args.gaze)
     params, vocab, history = decoder.train_captioner(clips, rgp_params, cfg)
     data.save_checkpoint(out / "decoder.ckpt", params.state_dict())
-    cfg_fields = {k: getattr(params.config, k) for k in _META_CONFIG_KEYS}
-    cfg_fields["agg_splits"] = list(params.config.agg_splits)
     with open(out / "decoder_meta.json", "w", encoding="utf-8") as f:
-        json.dump({"words": vocab.words[3:], "config": cfg_fields},
-                  f, sort_keys=True)
+        json.dump({"words": vocab.words[3:]}, f, sort_keys=True)
         f.write("\n")
     write_report(out / "train_captioner.json",
                  {"steps": len(history), "final_loss": history[-1],
@@ -194,7 +193,8 @@ def cmd_eval_gaze(args):
     out = _out_dir(args)
     manifest, clips = data.load_dataset(args.manifest)
     frame_size = manifest.get("frame_size")
-    if not _positive_ints(frame_size, 2):
+    if not (isinstance(frame_size, list) and len(frame_size) == 2
+            and all(type(v) is int and v > 0 for v in frame_size)):
         raise ContractError("manifest %s: 'frame_size' is missing or not 2 "
                             "positive integers" % args.manifest)
     frame_size = tuple(frame_size)

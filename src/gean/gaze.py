@@ -69,13 +69,13 @@ def _bin(coord, n):
     return min(int(np.floor(coord * n)), n - 1)
 
 
-def build_fixation_map(fixations, grid=GRID):
-    """Binary grid with a 1 at each fixation's cell."""
+def build_fixation_map(fixations, height=GRID, width=GRID):
+    """Binary (height, width) map with a 1 at each fixation's cell."""
     if not fixations:
         raise NoFixations("frame has no fixations")
-    m = np.zeros((grid, grid))
+    m = np.zeros((height, width))
     for rec in fixations:
-        m[_bin(rec.y, grid), _bin(rec.x, grid)] = 1.0
+        m[_bin(rec.y, height), _bin(rec.x, width)] = 1.0
     return m
 
 
@@ -130,7 +130,8 @@ def normalize_minmax(m):
 
 def make_training_target(fixations, grid=GRID, sigma=TRAIN_SIGMA):
     """Per-frame GT gaze map: binary fixations -> blur -> l1-normalize."""
-    return normalize_l1(gaussian_blur(build_fixation_map(fixations, grid), sigma))
+    binary = build_fixation_map(fixations, grid, grid)
+    return normalize_l1(gaussian_blur(binary, sigma))
 
 
 def bilinear_upsample(m, height, width):
@@ -191,10 +192,7 @@ def gt_eval_map(fixations, height, width):
         subjects[rec.subject].append(rec)
     acc = np.zeros((height, width))
     for recs in subjects.values():
-        binary = np.zeros((height, width))
-        for rec in recs:
-            binary[_bin(rec.y, height), _bin(rec.x, width)] = 1.0
-        acc += binary
+        acc += build_fixation_map(recs, height, width)
     acc /= len(subjects)
     return normalize_minmax(gaussian_blur(acc, EVAL_GT_SIGMA))
 

@@ -183,19 +183,7 @@ def bleu(candidate, references, n=4):
     if not candidate:
         warnings.warn("BLEU of an empty candidate is 0")
         return 0.0
-    precisions = []
-    for k in range(1, n + 1):
-        counts = _ngrams(candidate, k)
-        if not counts:
-            return 0.0
-        clipped = sum(_clip_counts(counts, references, k).values())
-        if clipped == 0:
-            return 0.0
-        precisions.append(clipped / sum(counts.values()))
-    c = len(candidate)
-    r = _closest_ref_len(c, references)
-    bp = np.exp(min(0.0, 1.0 - r / c))
-    return float(bp * np.exp(np.mean(np.log(precisions))))
+    return corpus_bleu([candidate], [references], n)
 
 
 def corpus_bleu(candidates, references_list, n=4):

@@ -300,12 +300,9 @@ def tensor_sum(a, axis=None, keepdims=False):
     data = a.data.sum(axis=axis, keepdims=keepdims)
 
     def backward(g):
-        if not a.requires_grad:
-            return
-        if axis is None:
-            a.accumulate(np.broadcast_to(g, a.shape))
-        else:
-            ge = g if keepdims else np.expand_dims(g, axis)
+        if a.requires_grad:
+            # a full sum's 0-d g broadcasts as it is, like a kept axis
+            ge = g if keepdims or axis is None else np.expand_dims(g, axis)
             a.accumulate(np.broadcast_to(ge, a.shape))
 
     return _make(data, backward, a.requires_grad)
@@ -381,6 +378,18 @@ def stack(tensors, axis=0):
     return _make(data, backward, any(t.requires_grad for t in tensors))
 
 
+def _scatter(a, idx, g):
+    """Backward of the gather a[idx]: add g into a.grad in place. Only an
+    index array can pick one element twice, so only it needs np.add.at."""
+    if a.grad is None:
+        a.grad = np.zeros_like(a.data)
+    parts = idx if isinstance(idx, tuple) else (idx,)
+    if any(np.ndim(i) for i in parts):
+        np.add.at(a.grad, idx, g)
+    else:  # ints and slices: a plain add, 6x cheaper than np.add.at
+        a.grad[idx] += g
+
+
 def narrow(a, axis, start, length):
     """Contiguous slice [start, start+length) along one axis."""
     a = _as_tensor(a)
@@ -391,9 +400,7 @@ def narrow(a, axis, start, length):
 
     def backward(g):
         if a.requires_grad:
-            if a.grad is None:
-                a.grad = np.zeros_like(a.data)
-            a.grad[idx] += g
+            _scatter(a, idx, g)
 
     return _make(data, backward, a.requires_grad)
 
@@ -406,9 +413,7 @@ def index(a, i):
 
     def backward(g):
         if a.requires_grad:
-            full = np.zeros(a.shape, dtype=a.data.dtype)
-            np.add.at(full, i, g)
-            a.accumulate(full)
+            _scatter(a, i, g)
 
     return _make(data, backward, a.requires_grad)
 
@@ -423,12 +428,7 @@ def column(M, j):
 
     def backward(g):
         if M.requires_grad:
-            if M.grad is None:
-                M.grad = np.zeros_like(M.data)
-            if np.ndim(j):
-                np.add.at(M.grad, (slice(None), j), g)
-            else:  # one column: a plain add, 6x cheaper than np.add.at
-                M.grad[:, j] += g
+            _scatter(M, (slice(None), j), g)
 
     return _make(data, backward, M.requires_grad)
 
@@ -547,14 +547,35 @@ def _im2col(xp, kh, kw, stride, ho, wo):
     return as_strided(xp, shape=shape, strides=strides)
 
 
-def _col2im(cols, n, hp, wp, c, kh, kw, stride, ho, wo, dtype):
-    """Scatter-add (N,ho,wo,kh,kw,C) windows back into a padded image."""
-    out = np.zeros((n, hp, wp, c), dtype=dtype)
+def _col2im(cols, hp, wp, stride):
+    """Scatter-add (N,ho,wo,kh,kw,C) windows back into a padded image.
+    conv2d's input gradient stays this scatter: conv_transpose2d's sub-pixel
+    form re-lays out the kernel per call and ran gaze-train slower."""
+    n, ho, wo, kh, kw, c = cols.shape
+    out = np.zeros((n, hp, wp, c), dtype=cols.dtype)
     for di in range(kh):
         for dj in range(kw):
             out[:, di:di + stride * ho:stride,
                 dj:dj + stride * wo:stride, :] += cols[:, :, :, di, dj, :]
     return out
+
+
+def _conv_data(xb, k, stride, pad):
+    """conv2d on arrays: (N,H,W,Cin) input and (kh,kw,Cin,Cout) kernel ->
+    the (N,ho,wo,Cout) output and the (N*ho*wo, kh*kw*Cin) im2col matrix
+    that the kernel gradient reads."""
+    kh, kw, cin, cout = k.shape
+    n, h, w, _ = xb.shape
+    ho = (h + 2 * pad - kh) // stride + 1
+    wo = (w + 2 * pad - kw) // stride + 1
+    if kh == 1 and kw == 1 and stride == 1 and pad == 0:
+        cols = xb.reshape(-1, cin)  # 1x1 conv is a plain channel matmul
+    else:
+        xp = np.zeros((n, h + 2 * pad, w + 2 * pad, cin), dtype=xb.dtype)
+        xp[:, pad:pad + h, pad:pad + w] = xb
+        cols = np.ascontiguousarray(_im2col(xp, kh, kw, stride, ho, wo))
+        cols = cols.reshape(n * ho * wo, kh * kw * cin)
+    return (cols @ k.reshape(-1, cout)).reshape(n, ho, wo, cout), cols
 
 
 def conv2d(x, kernel, stride=1, pad=0):
@@ -574,35 +595,18 @@ def conv2d(x, kernel, stride=1, pad=0):
                              % (cx, cin))
     if kh > h + 2 * pad or kw > w + 2 * pad:
         raise DimensionError("kernel larger than padded input")
-    ho = (h + 2 * pad - kh) // stride + 1
-    wo = (w + 2 * pad - kw) // stride + 1
-
-    if kh == 1 and kw == 1 and stride == 1 and pad == 0:
-        # 1x1 conv is a plain channel matmul
-        flat = xb.reshape(-1, cin)
-        out = (flat @ kernel.data.reshape(cin, cout)).reshape(n, ho, wo, cout)
-        cols_flat = flat
-    else:
-        xp = np.zeros((n, h + 2 * pad, w + 2 * pad, cin), dtype=xb.dtype)
-        xp[:, pad:pad + h, pad:pad + w] = xb
-        cols = _im2col(xp, kh, kw, stride, ho, wo)
-        cols_flat = np.ascontiguousarray(cols).reshape(n * ho * wo, kh * kw * cin)
-        out = (cols_flat @ kernel.data.reshape(-1, cout)).reshape(n, ho, wo, cout)
+    out, cols = _conv_data(xb, kernel.data, stride, pad)
+    ho, wo = out.shape[1:3]
 
     def backward(g):
-        gb = g.reshape(n, ho, wo, cout)
-        gflat = gb.reshape(-1, cout)
+        gflat = g.reshape(-1, cout)
         if kernel.requires_grad:
-            kernel.accumulate((cols_flat.T @ gflat).reshape(kernel.shape))
+            kernel.accumulate((cols.T @ gflat).reshape(kernel.shape))
         if x.requires_grad:
-            if kh == 1 and kw == 1 and stride == 1 and pad == 0:
-                gx = (gflat @ kernel.data.reshape(cin, cout).T).reshape(xb.shape)
-            else:
-                gcols = (gflat @ kernel.data.reshape(-1, cout).T)
-                gcols = gcols.reshape(n, ho, wo, kh, kw, cin)
-                gp = _col2im(gcols, n, h + 2 * pad, w + 2 * pad, cin,
-                             kh, kw, stride, ho, wo, g.dtype)
-                gx = gp[:, pad:pad + h, pad:pad + w, :]
+            gcols = gflat @ kernel.data.reshape(-1, cout).T
+            gp = _col2im(gcols.reshape(n, ho, wo, kh, kw, cin),
+                         h + 2 * pad, w + 2 * pad, stride)
+            gx = gp[:, pad:pad + h, pad:pad + w, :]
             x.accumulate(gx[0] if squeeze else gx)
 
     data = out[0] if squeeze else out
@@ -650,16 +654,13 @@ def conv_transpose2d(x, kernel, stride=1, pad=0):
     out = full[:, pad:pad + ho, pad:pad + wo, :]
 
     def backward(g):
-        gb = g.reshape(n, ho, wo, cout)
-        gp = np.pad(gb, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
-        gcols = _im2col(gp, kh, kw, stride, h, w)
-        gcols_flat = np.ascontiguousarray(gcols).reshape(n * h * w, kh * kw * cout)
-        kflat = kernel.data.reshape(kh * kw * cout, cin)
+        # conv2d with this kernel, read as (kh,kw,Cout,Cin), is the adjoint
+        gx, gcols = _conv_data(g.reshape(n, ho, wo, cout), kernel.data,
+                               stride, pad)
         if x.requires_grad:
-            gx = (gcols_flat @ kflat).reshape(xb.shape)
             x.accumulate(gx[0] if squeeze else gx)
         if kernel.requires_grad:
-            gk = gcols_flat.T @ xb.reshape(-1, cin)
+            gk = gcols.T @ xb.reshape(-1, cin)
             kernel.accumulate(gk.reshape(kernel.shape))
 
     data = out[0] if squeeze else out

@@ -24,15 +24,9 @@ class Vocabulary:
     """Dense token -> index map with <BOS>, <EOS>, <UNK> reserved."""
 
     def __init__(self, words):
-        self.index = {}
-        for tok in (BOS, EOS, UNK):
-            self.index[tok] = len(self.index)
-        for w in words:
-            if w not in self.index:
-                self.index[w] = len(self.index)
-        self.words = [None] * len(self.index)
-        for w, i in self.index.items():
-            self.words[i] = w
+        # first occurrence wins: a repeated word keeps its first index
+        self.words = list(dict.fromkeys([BOS, EOS, UNK, *words]))
+        self.index = {w: i for i, w in enumerate(self.words)}
 
     def __len__(self):
         return len(self.index)
@@ -58,13 +52,8 @@ class Vocabulary:
 
 def build_vocab(captions):
     """Vocabulary over a caption corpus; rare words are retained."""
-    words = []
-    seen = set()
-    for caption in captions:
-        for tok in tokenize(caption):
-            if tok not in seen:
-                seen.add(tok)
-                words.append(tok)
-    if not words:
+    vocab = Vocabulary(tok for caption in captions
+                       for tok in tokenize(caption))
+    if len(vocab) == 3:  # only <BOS>, <EOS>, <UNK>
         raise ConfigError("empty caption corpus")
-    return Vocabulary(words)
+    return vocab

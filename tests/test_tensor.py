@@ -127,6 +127,25 @@ def test_conv_transpose_matches_scatter_add(k, stride, pad, shape, dtype,
                                atol=rtol * np.abs(ref).max())
 
 
+@pytest.mark.parametrize("op", [T.conv2d, T.conv_transpose2d])
+@pytest.mark.parametrize("shape, k, stride, pad", [
+    ((6, 6, 2), 3, 2, 0),  # the windows do not tile the input
+    ((5, 5, 2), 2, 2, 0),
+    ((5, 5, 2), 1, 1, 0),
+    ((2, 7, 7, 2), 4, 3, 2),
+], ids=["6x6-k3-s2", "5x5-k2-s2", "k1", "batched-k4-s3-p2"])
+def test_conv_grad_check_off_the_rgp_geometry(op, shape, k, stride, pad):
+    rng = np.random.default_rng(18)
+    cin, cout = 2, 3
+    kshape = (k, k, cin, cout) if op is T.conv2d else (k, k, cout, cin)
+    x = Parameter("x", rng.standard_normal(shape))
+    kern = Parameter("k", rng.standard_normal(kshape))
+    w = Tensor(rng.standard_normal(op(x, kern, stride=stride, pad=pad).shape))
+    assert grad_check(lambda: T.tensor_sum(op(x, kern, stride=stride,
+                                                pad=pad) * w),
+                      [x, kern]) <= 1e-8
+
+
 # ---------------------------------------------------------------------------
 # avg_pool2d
 # ---------------------------------------------------------------------------
@@ -186,6 +205,28 @@ def test_narrow_slices_sum_their_gradients():
     np.testing.assert_allclose(x.grad, expected, rtol=1e-14, atol=1e-14)
     x.grad = None
     assert grad_check(loss, [x]) <= 1e-8
+
+
+@pytest.mark.parametrize("gather, idx", [
+    (lambda a: T.index(a, 2), 2),
+    (lambda a: T.narrow(a, 1, 1, 2), (slice(None), slice(1, 3))),
+    (lambda a: T.index(a, np.array([0, 3, 0, 0])), np.array([0, 3, 0, 0])),
+    (lambda a: T.column(a, np.array([1, 1, 0, 1])),
+     (slice(None), np.array([1, 1, 0, 1]))),
+], ids=["int", "narrow", "repeated-array", "column-repeats"])
+def test_gather_backward_matches_dense_add_at(gather, idx):
+    # two gathers of one tensor: the sweep reaches the second one first,
+    # so the first one's backward adds into a grad that already exists
+    rng = np.random.default_rng(17)
+    a = Parameter("a", rng.standard_normal((5, 4)))
+    ws = [Tensor(rng.standard_normal(a.data[idx].shape)) for _ in range(2)]
+    with Tape() as tape:
+        tape.backward(T.tensor_sum(gather(a) * ws[0])
+                      + T.tensor_sum(gather(a) * ws[1]))
+    expected = np.zeros(a.shape)
+    for w in reversed(ws):
+        np.add.at(expected, idx, w.data)
+    np.testing.assert_array_equal(a.grad, expected)
 
 
 def test_avg_pool_grad_check_rgp_window():
