@@ -48,11 +48,11 @@ def _affine_activations(W, b, x):
     return T.sigmoid(y) + T.tanh(y) + T.stanh(y)
 
 
-def check_rgp_cell(rng, instances=20, config=SMALL_RGP):
+def check_rgp_cell(rng, instances=20):
     def build(rng):
-        params = RgpParams.create(rng, config, dtype=np.float64)
-        x = Tensor(rng.standard_normal((7, 7, config.proj_channels)))
-        h0 = Tensor(rng.standard_normal((7, 7, config.hidden)) * 0.5)
+        params = RgpParams.create(rng, SMALL_RGP, dtype=np.float64)
+        x = Tensor(rng.standard_normal((7, 7, SMALL_RGP.proj_channels)))
+        h0 = Tensor(rng.standard_normal((7, 7, SMALL_RGP.hidden)) * 0.5)
 
         def f():
             wx = T.conv2d(x, params.w_zrh, stride=1, pad=1)
@@ -62,19 +62,20 @@ def check_rgp_cell(rng, instances=20, config=SMALL_RGP):
     return _worst(rng, instances, build)
 
 
-def _random_pools(rng, cfg, n_max=3):
-    return {ch: Tensor(rng.standard_normal((n_max, cfg.feat)))
+def _random_pools(rng):
+    """A 3-frame pool per channel."""
+    return {ch: Tensor(rng.standard_normal((3, SMALL_DECODER.feat)))
             for ch in CHANNELS}
 
 
-def check_decode_step(rng, instances=20, config=SMALL_DECODER):
+def check_decode_step(rng, instances=20):
     def build(rng):
-        params = DecoderParams.create(rng, config, dtype=np.float64)
-        pools = _random_pools(rng, config)
-        words = [0, int(rng.integers(0, config.vocab_size))]
+        params = DecoderParams.create(rng, SMALL_DECODER, dtype=np.float64)
+        pools = _random_pools(rng)
+        words = [0, int(rng.integers(0, SMALL_DECODER.vocab_size))]
 
         def f():
-            state = DecoderState.initial(config, dtype=np.float64)
+            state = DecoderState.initial(SMALL_DECODER, dtype=np.float64)
             logits, _ = decode_step(state, attention_keys(pools, params),
                                     words, params)
             return _scalarize(logits)
@@ -83,22 +84,22 @@ def check_decode_step(rng, instances=20, config=SMALL_DECODER):
     return _worst(rng, instances, build)
 
 
-def check_caption_loss(rng, instances=20, config=SMALL_DECODER, n_words=2,
-                       l2_coeff=1e-2):
+def check_caption_loss(rng, instances=20):
+    """Two-word captions, with the l2 term at 1e-2."""
     def build(rng):
-        params = DecoderParams.create(rng, config, dtype=np.float64)
-        pools = _random_pools(rng, config)
+        params = DecoderParams.create(rng, SMALL_DECODER, dtype=np.float64)
+        pools = _random_pools(rng)
         targets = [int(t) for t in
-                   rng.integers(0, config.vocab_size, size=n_words)]
+                   rng.integers(0, SMALL_DECODER.vocab_size, size=2)]
 
         def f():
-            state = DecoderState.initial(config, dtype=np.float64)
+            state = DecoderState.initial(SMALL_DECODER, dtype=np.float64)
             logits, _ = decode_step(state, attention_keys(pools, params),
                                     [0] + targets[:-1], params)
             # the l2 term covers weight matrices only, so the b_* biases
             # keep gradient elements near 1e-7; grad_check's long double
             # reference is what resolves them to 1e-4 relative error
-            return caption_loss(logits, targets, params, l2_coeff=l2_coeff)
+            return caption_loss(logits, targets, params, l2_coeff=1e-2)
 
         return f, params.all()
     return _worst(rng, instances, build)

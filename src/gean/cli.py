@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from . import data, decoder, metrics, rgp
-from .errors import ContractError, DimensionError, GeanError
+from .errors import GeanError
 from .optim import resolve_seed
 from .pools import DEFAULT_LAMBDA
 from .tensor import require_parameters
@@ -57,27 +57,30 @@ def _out_dir(args):
     return out
 
 
-def _sizing(path, arrays, names, ndim):
+def _sizing(arrays, names, ndim):
     """Check the checkpoint arrays a config's sizes are read from: each
     must be there, with `ndim` axes, before its shape is unpacked."""
     require_parameters(names, arrays)
     for name in names:
         if arrays[name].ndim != ndim:
-            raise DimensionError("checkpoint %s: %r has %d axes, not %d"
-                                 % (path, name, arrays[name].ndim, ndim))
+            raise GeanError("checkpoint array %r has %d axes, not %d"
+                            % (name, arrays[name].ndim, ndim))
 
 
 def _load_rgp(path):
     arrays = data.load_checkpoint(path)
-    _sizing(path, arrays, rgp.RgpParams.NAMES, 4)
-    kh, kw, cin, cp = arrays["p_in"].shape
-    cfg = rgp.RgpConfig(in_channels=cin, proj_channels=cp,
-                        hidden=arrays["u_h"].shape[-1],
-                        readout_channels=(arrays["d1"].shape[2],
-                                          arrays["d2"].shape[2],
-                                          arrays["d3"].shape[2]))
-    params = rgp.RgpParams.create(np.random.default_rng(0), cfg)
-    params.load_state_dict(arrays)
+    try:
+        _sizing(arrays, rgp.RgpParams.NAMES, 4)
+        kh, kw, cin, cp = arrays["p_in"].shape
+        cfg = rgp.RgpConfig(in_channels=cin, proj_channels=cp,
+                            hidden=arrays["u_h"].shape[-1],
+                            readout_channels=(arrays["d1"].shape[2],
+                                              arrays["d2"].shape[2],
+                                              arrays["d3"].shape[2]))
+        params = rgp.RgpParams.create(np.random.default_rng(0), cfg)
+        params.load_state_dict(arrays)
+    except GeanError as e:  # name the file, as the format errors do
+        raise GeanError("%s: %s" % (path, e)) from None
     return params
 
 
@@ -86,25 +89,27 @@ def _load_decoder(ckpt_path, meta_path):
     words = meta.get("words") if isinstance(meta, dict) else None
     if not (isinstance(words, list)
             and all(isinstance(w, str) for w in words)):
-        raise ContractError("decoder meta %s: 'words' is missing or not a "
-                            "list of strings" % meta_path)
+        raise GeanError("decoder meta %s: 'words' is missing or not a "
+                        "list of strings" % meta_path)
     vocab = Vocabulary(words)
     arrays = data.load_checkpoint(ckpt_path)
     wg = ["wg_%s" % ch for ch in decoder.CHANNELS]
-    _sizing(ckpt_path, arrays, ["embedding", "uq_scene", "wq_scene"] + wg, 2)
-    embed, vocab_size = arrays["embedding"].shape
-    if vocab_size != len(vocab):
-        raise ContractError("decoder checkpoint %s has %d embedding columns, "
-                            "but decoder meta %s gives %d words + 3 reserved"
-                            % (ckpt_path, vocab_size, meta_path,
-                               len(vocab) - 3))
-    att, hidden = arrays["uq_scene"].shape
-    cfg = decoder.DecoderConfig(
-        vocab_size=vocab_size, embed=embed, hidden=hidden, att=att,
-        feat=arrays["wq_scene"].shape[1],
-        agg_splits=tuple(arrays[n].shape[0] for n in wg))
-    params = decoder.DecoderParams.create(np.random.default_rng(0), cfg)
-    params.load_state_dict(arrays)
+    try:
+        _sizing(arrays, ["embedding", "uq_scene", "wq_scene"] + wg, 2)
+        embed, vocab_size = arrays["embedding"].shape
+        if vocab_size != len(vocab):
+            raise GeanError("%d embedding columns, but decoder meta %s "
+                            "gives %d words + 3 reserved"
+                            % (vocab_size, meta_path, len(vocab) - 3))
+        att, hidden = arrays["uq_scene"].shape
+        cfg = decoder.DecoderConfig(
+            vocab_size=vocab_size, embed=embed, hidden=hidden, att=att,
+            feat=arrays["wq_scene"].shape[1],
+            agg_splits=tuple(arrays[n].shape[0] for n in wg))
+        params = decoder.DecoderParams.create(np.random.default_rng(0), cfg)
+        params.load_state_dict(arrays)
+    except GeanError as e:
+        raise GeanError("%s: %s" % (ckpt_path, e)) from None
     return params, vocab
 
 
@@ -195,8 +200,8 @@ def cmd_eval_gaze(args):
     frame_size = manifest.get("frame_size")
     if not (isinstance(frame_size, list) and len(frame_size) == 2
             and all(type(v) is int and v > 0 for v in frame_size)):
-        raise ContractError("manifest %s: 'frame_size' is missing or not 2 "
-                            "positive integers" % args.manifest)
+        raise GeanError("manifest %s: 'frame_size' is missing or not 2 "
+                        "positive integers" % args.manifest)
     frame_size = tuple(frame_size)
     for clip in clips:
         clip["frame_size"] = frame_size
@@ -222,8 +227,8 @@ def cmd_eval_captions(args):
     captions = data.load_json(args.captions, "captions")
     if not (isinstance(captions, dict)
             and all(isinstance(c, str) for c in captions.values())):
-        raise ContractError("captions %s is not an object of strings"
-                            % args.captions)
+        raise GeanError("captions %s is not an object of strings"
+                        % args.captions)
     cands = {c["id"]: tokenize(captions.get(c["id"], "")) for c in clips}
     refs = {c["id"]: [tokenize(r) for r in c["captions"]] for c in clips}
     ids = sorted(cands)
@@ -300,7 +305,7 @@ def build_parser():
     p.add_argument("--lr", type=float, default=1e-4)
     p.add_argument("--steps", type=_count, default=5000)
     p.add_argument("--l2", type=float, default=1e-5)
-    p.add_argument("--max-len", type=_count, default=80)
+    p.add_argument("--max-len", type=_count, default=decoder.MAX_LEN)
     p.add_argument("--lambda", dest="lam", type=float, default=DEFAULT_LAMBDA)
     p.set_defaults(func=cmd_train_captioner)
 
@@ -310,7 +315,7 @@ def build_parser():
     p.add_argument("--decoder", required=True)
     p.add_argument("--decoder-meta", required=True)
     p.add_argument("--gaze", choices=GAZE_KINDS, default="learned")
-    p.add_argument("--max-len", type=_count, default=80)
+    p.add_argument("--max-len", type=_count, default=decoder.MAX_LEN)
     p.add_argument("--lambda", dest="lam", type=float, default=DEFAULT_LAMBDA)
     p.set_defaults(func=cmd_caption)
 

@@ -19,9 +19,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractError, FormatError
-from .gaze import FixationRecord, make_training_target, read_fixations, \
-    write_fixations
+from .errors import FormatError, GeanError
+from .gaze import GRID, FixationRecord, make_training_target, \
+    read_fixations, write_fixations
+
+# Every clip's motion and fovea features are FEATURE_GRID x FEATURE_GRID
+# cells of FEATURE_DIM channels per frame; scene features one such vector.
+FEATURE_GRID = 7
+FEATURE_DIM = 1024
 
 MAGIC = b"GEAN0001"
 _DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
@@ -35,7 +40,7 @@ _DTYPE_CODES = {np.dtype("float32"): 0, np.dtype("float64"): 1}
 def _write_record(f, tensor):
     """magic | dtype u8 | ndim u8 | dims u32 x ndim | row-major payload."""
     if np.ndim(tensor) == 0 or 0 in np.shape(tensor):
-        raise ContractError("cannot store an empty or 0-d tensor")
+        raise GeanError("cannot store an empty or 0-d tensor")
     arr = np.ascontiguousarray(tensor)
     if arr.dtype not in _DTYPE_CODES:
         arr = arr.astype(np.float32)
@@ -134,24 +139,24 @@ def load_checkpoint(path):
 
 def load_json(path, what):
     """Parse the JSON file at `path`; a file that is not JSON raises
-    ContractError naming it as `what`."""
+    GeanError naming it as `what`."""
     with open(path, encoding="utf-8") as f:
         try:
             return json.load(f)
         except ValueError as e:  # JSONDecodeError or UnicodeDecodeError
-            raise ContractError("%s %s is not JSON: %s"
-                                % (what, path, e)) from None
+            raise GeanError("%s %s is not JSON: %s"
+                            % (what, path, e)) from None
 
 
 def _field(obj, key, kind, where, optional=False):
     """`obj[key]` if it is a `kind` (not a bool); an absent optional field
-    reads as None; anything else raises ContractError naming `where`."""
+    reads as None; anything else raises GeanError naming `where`."""
     value = obj.get(key) if isinstance(obj, dict) else None
     if value is None and optional:
         return None
     if not isinstance(value, kind) or isinstance(value, bool):
-        raise ContractError("%s: field %r is missing or not %s"
-                            % (where, key, kind.__name__))
+        raise GeanError("%s: field %r is missing or not %s"
+                        % (where, key, kind.__name__))
     return value
 
 
@@ -173,30 +178,28 @@ def load_dataset(manifest_path):
         where = "manifest %s, clip %s" % (path, cid)
         n = _field(clip, "n_frames", int, where)
         if n < 1:
-            raise ContractError("%s has no frames" % where)
+            raise GeanError("%s has no frames" % where)
         features = _field(clip, "features", dict, where)
         out = {"id": cid, "n_frames": n}
-        for channel, expect in (("scene", (n, 1024)),
-                                ("motion", (n, 7, 7, 1024)),
-                                ("fovea", (n, 7, 7, 1024))):
+        cells = (n, FEATURE_GRID, FEATURE_GRID, FEATURE_DIM)
+        for channel, expect in (("scene", (n, FEATURE_DIM)),
+                                ("motion", cells), ("fovea", cells)):
             rel = _field(features, channel, str, where + ", features")
             arr = read_feature_file(root / rel)
             if arr.shape[0] != n or arr.shape[1:] != expect[1:]:
-                raise ContractError("%s: %s features have shape %s, "
-                                    "expected %s"
-                                    % (where, channel, arr.shape, expect))
+                raise GeanError("%s: %s features have shape %s, expected %s"
+                                % (where, channel, arr.shape, expect))
             out[channel] = arr
         captions = _field(clip, "captions", list, where, optional=True) or []
         if not all(isinstance(c, str) for c in captions):
-            raise ContractError("%s: field 'captions' holds a non-string"
-                                % where)
+            raise GeanError("%s: field 'captions' holds a non-string" % where)
         out["captions"] = captions
         out["fixations"] = {}
         rel = _field(clip, "fixations", str, where, optional=True)
         if rel:
             if not (root / rel).exists():
-                raise ContractError("%s: fixation file %s missing"
-                                    % (where, root / rel))
+                raise GeanError("%s: fixation file %s missing"
+                                % (where, root / rel))
             out["fixations"] = read_fixations(root / rel)
         clips.append(out)
     return manifest, clips
@@ -207,7 +210,7 @@ def gaze_training_clips(clips):
     out = []
     for clip in clips:
         n = clip["n_frames"]
-        targets = np.zeros((n, 49, 49))
+        targets = np.zeros((n, GRID, GRID))
         mask = np.zeros(n, dtype=bool)
         for fi, recs in clip["fixations"].items():
             if recs and fi < n:
@@ -228,10 +231,11 @@ CAPTION_TEMPLATE = "SOMEONE %s the %s."
 
 SIGNATURE_GAIN = 3.0
 NOISE_SCALE = 0.1
+N_SUBJECTS = 3  # fixation records per frame, one per subject
+FRAME_SIZE = (98, 98)  # the manifest's frame height and width in pixels
 
 
-def make_synthetic(out_dir, n_clips=8, n_frames=20, feat_dim=1024,
-                   n_subjects=3, frame_size=(98, 98), seed=0):
+def make_synthetic(out_dir, n_clips=8, n_frames=20, seed=0):
     """Generate a desk-scale dataset with a planted moving hot region.
 
     Motion features carry a verb-keyed signature at the hot cell of the
@@ -251,32 +255,32 @@ def make_synthetic(out_dir, n_clips=8, n_frames=20, feat_dim=1024,
         ni = NOUNS.index(noun)
 
         # slow random walk of the hot cell over the 7x7 grid
-        r, c = rng.integers(1, 6, size=2)
+        last = FEATURE_GRID - 1
+        r, c = rng.integers(1, last, size=2)
         path = []
         for _ in range(n_frames):
             path.append((int(r), int(c)))
-            r = int(np.clip(r + rng.integers(-1, 2), 0, 6))
-            c = int(np.clip(c + rng.integers(-1, 2), 0, 6))
+            r = int(np.clip(r + rng.integers(-1, 2), 0, last))
+            c = int(np.clip(c + rng.integers(-1, 2), 0, last))
 
-        motion = rng.normal(0.0, NOISE_SCALE,
-                            (n_frames, 7, 7, feat_dim)).astype(np.float32)
-        fovea = rng.normal(0.0, NOISE_SCALE,
-                           (n_frames, 7, 7, feat_dim)).astype(np.float32)
-        block = feat_dim // 16
+        cells = (n_frames, FEATURE_GRID, FEATURE_GRID, FEATURE_DIM)
+        motion = rng.normal(0.0, NOISE_SCALE, cells).astype(np.float32)
+        fovea = rng.normal(0.0, NOISE_SCALE, cells).astype(np.float32)
+        block = FEATURE_DIM // 16
         for fi, (hr, hc) in enumerate(path):
             motion[fi, hr, hc, vi * block:(vi + 1) * block] += SIGNATURE_GAIN
             motion[fi, hr, hc, -block:] += SIGNATURE_GAIN  # generic hotness
             fovea[fi, hr, hc, ni * block:(ni + 1) * block] += SIGNATURE_GAIN
-        scene_base = rng.normal(0.0, 1.0, feat_dim)
+        scene_base = rng.normal(0.0, 1.0, FEATURE_DIM)
         scene = (scene_base
-                 + rng.normal(0.0, NOISE_SCALE, (n_frames, feat_dim))
+                 + rng.normal(0.0, NOISE_SCALE, (n_frames, FEATURE_DIM))
                  ).astype(np.float32)
 
         fixations = []
         for fi, (hr, hc) in enumerate(path):
-            for s in range(n_subjects):
-                x = (hc + 0.5) / 7.0 + rng.normal(0.0, 0.02)
-                y = (hr + 0.5) / 7.0 + rng.normal(0.0, 0.02)
+            for s in range(N_SUBJECTS):
+                x = (hc + 0.5) / FEATURE_GRID + rng.normal(0.0, 0.02)
+                y = (hr + 0.5) / FEATURE_GRID + rng.normal(0.0, 0.02)
                 fixations.append(FixationRecord(fi, s,
                                                 float(np.clip(x, 0.0, 1.0)),
                                                 float(np.clip(y, 0.0, 1.0))))
@@ -295,7 +299,7 @@ def make_synthetic(out_dir, n_clips=8, n_frames=20, feat_dim=1024,
             "fixations": "%s_fixations.csv" % cid,
             "captions": [caption],
         })
-    manifest = {"frame_size": list(frame_size), "stride": 5, "clips": clips}
+    manifest = {"frame_size": list(FRAME_SIZE), "clips": clips}
     manifest_path = out_dir / "manifest.json"
     with open(manifest_path, "w", encoding="utf-8") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)

@@ -7,7 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, ContractError, DimensionError
+from .data import FEATURE_DIM
+from .errors import GeanError
 from .optim import (AdamState, finite_loss, init_orthogonal, init_xavier,
                     resolve_seed)
 from .pools import (DEFAULT_LAMBDA, POOL_FOVEA, POOL_MOTION, POOL_SCENE,
@@ -18,6 +19,8 @@ from .text import build_vocab, tokenize
 
 CHANNELS = ("scene", "motion", "fovea")
 DROPOUT = 0.5  # rate on the fused features q while training
+MAX_LEN = 80  # words a caption is cut to in training, decoded up to after
+EVAL_EVERY = 100  # steps between checks that training clips decode exactly
 
 
 @dataclass
@@ -26,7 +29,7 @@ class DecoderConfig:
     embed: int = 512
     hidden: int = 512
     att: int = 64
-    feat: int = 1024
+    feat: int = FEATURE_DIM
     agg_splits: tuple = (256, 256, 512)
 
     @property
@@ -40,10 +43,9 @@ class CaptionTrainConfig:
     steps: int = 5000
     seed: int = None
     l2_coeff: float = 1e-5
-    max_len: int = 80
+    max_len: int = MAX_LEN
     lam: float = DEFAULT_LAMBDA
     gaze: str = "learned"
-    eval_every: int = 100  # greedy-decode training clips; stop when exact
 
 
 class DecoderParams(ParameterSet):
@@ -176,20 +178,19 @@ def aggregate(u_s, u_m, u_f, h_att, params, dropout_on=False, rng=None):
 
 
 def _span(words, vocab_size):
-    """The span as a 1-D integer array; ContractError naming the first
+    """The span as a 1-D integer array; GeanError naming the first
     word outside the vocabulary by its position and index."""
     words = np.asarray(words)
     if words.ndim != 1 or words.size == 0:
-        raise ContractError("decode_step needs a non-empty 1-D span of "
-                            "words, got shape %s" % (words.shape,))
+        raise GeanError("decode_step needs a non-empty 1-D span of "
+                        "words, got shape %s" % (words.shape,))
     if not np.issubdtype(words.dtype, np.integer):
-        raise ContractError("span words must be integer indices, got %s"
-                            % words.dtype)
+        raise GeanError("span words must be integer indices, got %s"
+                        % words.dtype)
     bad = np.flatnonzero((words < 0) | (words >= vocab_size))
     if bad.size:
-        raise ContractError("span word %d has index %d, outside the "
-                            "vocabulary of %d" % (bad[0], words[bad[0]],
-                                                  vocab_size))
+        raise GeanError("span word %d has index %d, outside the vocabulary "
+                        "of %d" % (bad[0], words[bad[0]], vocab_size))
     return words
 
 
@@ -217,7 +218,7 @@ def decode_step(state, keys, words, params, dropout_on=False, rng=None):
     return logits, DecoderState(last_att, last_m, betas)
 
 
-def decode_greedy(pools, params, vocab, max_len=80):
+def decode_greedy(pools, params, vocab, max_len=MAX_LEN):
     """Greedy argmax decoding from <BOS>, one one-word span per step;
     stops at <EOS> or max_len."""
     with no_grad():
@@ -250,10 +251,10 @@ def caption_loss(logits, targets, params, l2_coeff=0.0):
     weight matrices."""
     n = len(targets)
     if not n:
-        raise ContractError("empty ground-truth sequence")
+        raise GeanError("empty ground-truth sequence")
     if logits.ndim != 2 or logits.shape[1] != n:
-        raise DimensionError("logits of shape %s for %d targets"
-                             % (logits.shape, n))
+        raise GeanError("logits of shape %s for %d targets"
+                        % (logits.shape, n))
     picked = T.index(T.log_softmax(logits, axis=0),
                      (np.asarray(targets), np.arange(n)))
     loss = (-1.0 / n) * T.tensor_sum(picked)
@@ -263,12 +264,12 @@ def caption_loss(logits, targets, params, l2_coeff=0.0):
 
 
 def teacher_forced_loss(pools, token_ids, params, vocab, l2_coeff=0.0,
-                        dropout_on=False, rng=None, max_len=80):
+                        dropout_on=False, rng=None, max_len=MAX_LEN):
     """Teacher forcing over <BOS> w1..wL with targets w1..wL <EOS>, as one
     decode_step span."""
     token_ids = list(token_ids)[:max_len]
     if not token_ids:
-        raise ContractError("empty ground-truth sequence")
+        raise GeanError("empty ground-truth sequence")
     state = DecoderState.initial(params.config)
     logits, _ = decode_step(state, attention_keys(pools, params),
                             [vocab.bos] + token_ids, params, dropout_on, rng)
@@ -283,7 +284,7 @@ def build_clip_pools(scene, motion, fovea, rgp_params=None, gaze="learned",
     """
     if gaze == "learned":
         if rgp_params is None:
-            raise ConfigError("learned gaze requires RGP parameters")
+            raise GeanError("learned gaze requires RGP parameters")
         maps = predict_gaze(np.asarray(motion, dtype=np.float32), rgp_params)
         alphas = [spatial_attention(m, lam) for m in maps]
     else:
@@ -303,9 +304,9 @@ def train_captioner(dataset, rgp_params, config=None):
     frozen. Returns (params, vocab, loss history)."""
     cfg = config or CaptionTrainConfig()
     if not dataset:
-        raise ConfigError("empty dataset")
+        raise GeanError("empty dataset")
     if cfg.gaze == "learned" and rgp_params is None:
-        raise ConfigError("no RGP checkpoint supplied for learned gaze")
+        raise GeanError("no RGP checkpoint supplied for learned gaze")
     seed = resolve_seed(cfg.seed)
     rng = np.random.default_rng(seed)
 
@@ -334,7 +335,7 @@ def train_captioner(dataset, rgp_params, config=None):
             tape.backward(loss)
         history.append(finite_loss(loss, step))
         opt.step(params.all())
-        if cfg.eval_every and (step + 1) % cfg.eval_every == 0:
+        if (step + 1) % EVAL_EVERY == 0:
             if all(decode_greedy(pools, params, vocab, cfg.max_len) in refs
                    for pools, refs in clip_refs):
                 break

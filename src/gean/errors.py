@@ -2,34 +2,12 @@
 
 
 class GeanError(Exception):
-    pass
-
-
-class DimensionError(GeanError):
-    """Operand shapes do not conform."""
-
-
-class ConfigError(GeanError):
-    """Invalid configuration value (bad learning rate, unknown kind, ...)."""
-
-
-class ContractError(GeanError):
-    """A caller violated an operation's precondition."""
-
-
-class DegenerateMapError(GeanError):
-    """A map that cannot be normalized (all-zero for l1, constant for min-max)."""
+    """A rejected input, setting or call; the CLI exits 1 on it."""
 
 
 class FormatError(GeanError):
     """Malformed binary file; carries the byte offset of the problem."""
 
-    def __init__(self, message, offset=None):
-        if offset is not None:
-            message = "%s (at byte offset %d)" % (message, offset)
-        super().__init__(message)
+    def __init__(self, message, offset):
+        super().__init__("%s (at byte offset %d)" % (message, offset))
         self.offset = offset
-
-
-class NoFixations(GeanError):
-    """Signals a frame with no recorded fixations; callers skip it in losses."""

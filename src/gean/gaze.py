@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, DegenerateMapError, NoFixations
+from .errors import GeanError
 
 GRID = 49
 TRAIN_SIGMA = 2.0
@@ -40,20 +40,19 @@ def read_fixations(path):
                     try:
                         values.append(kind(row[column]))
                     except (KeyError, TypeError, ValueError):
-                        raise ContractError(
+                        raise GeanError(
                             "%s line %d: column %r is missing or not %s"
                             % (path, reader.line_num, column,
                                kind.__name__)) from None
                 rec = FixationRecord(*values)
                 if rec.frame < 0 or not (0.0 <= rec.x <= 1.0
                                          and 0.0 <= rec.y <= 1.0):
-                    raise ContractError("%s line %d: negative frame or x, y "
-                                        "out of [0,1]: %s"
-                                        % (path, reader.line_num, rec))
+                    raise GeanError("%s line %d: negative frame or x, y "
+                                    "out of [0,1]: %s"
+                                    % (path, reader.line_num, rec))
                 by_frame[rec.frame].append(rec)
     except (UnicodeDecodeError, csv.Error) as e:
-        raise ContractError("%s is not a fixation CSV: %s" % (path, e)) \
-            from None
+        raise GeanError("%s is not a fixation CSV: %s" % (path, e)) from None
     return dict(by_frame)
 
 
@@ -72,7 +71,7 @@ def _bin(coord, n):
 def build_fixation_map(fixations, height=GRID, width=GRID):
     """Binary (height, width) map with a 1 at each fixation's cell."""
     if not fixations:
-        raise NoFixations("frame has no fixations")
+        raise GeanError("frame has no fixations")
     m = np.zeros((height, width))
     for rec in fixations:
         m[_bin(rec.y, height), _bin(rec.x, width)] = 1.0
@@ -104,7 +103,7 @@ def gaussian_blur(m, sigma):
     """Separable Gaussian blur, kernel truncated at ceil(3*sigma), zero pad,
     as one banded matrix per axis: B_h @ m @ B_w^T."""
     if sigma < 0:
-        raise ConfigError("sigma must be >= 0, got %g" % sigma)
+        raise GeanError("sigma must be >= 0, got %g" % sigma)
     m = np.asarray(m, dtype=np.float64)
     if sigma == 0:
         return m.copy()
@@ -116,7 +115,7 @@ def normalize_l1(m):
     m = np.asarray(m, dtype=np.float64)
     s = m.sum()
     if s <= 0:
-        raise DegenerateMapError("cannot l1-normalize a map with sum %g" % s)
+        raise GeanError("cannot l1-normalize a map with sum %g" % s)
     return m / s
 
 
@@ -124,14 +123,14 @@ def normalize_minmax(m):
     m = np.asarray(m, dtype=np.float64)
     lo, hi = m.min(), m.max()
     if hi <= lo:
-        raise DegenerateMapError("cannot min-max normalize a constant map")
+        raise GeanError("cannot min-max normalize a constant map")
     return (m - lo) / (hi - lo)
 
 
-def make_training_target(fixations, grid=GRID, sigma=TRAIN_SIGMA):
+def make_training_target(fixations):
     """Per-frame GT gaze map: binary fixations -> blur -> l1-normalize."""
-    binary = build_fixation_map(fixations, grid, grid)
-    return normalize_l1(gaussian_blur(binary, sigma))
+    binary = build_fixation_map(fixations, GRID, GRID)
+    return normalize_l1(gaussian_blur(binary, TRAIN_SIGMA))
 
 
 def bilinear_upsample(m, height, width):
@@ -186,7 +185,7 @@ def pred_eval_map(pred, height, width):
 def gt_eval_map(fixations, height, width):
     """Subject-averaged binary fixation maps -> blur sigma=19 -> min-max."""
     if not fixations:
-        raise NoFixations("frame has no fixations")
+        raise GeanError("frame has no fixations")
     subjects = defaultdict(list)
     for rec in fixations:
         subjects[rec.subject].append(rec)

@@ -6,8 +6,8 @@ from collections import Counter, defaultdict
 
 import numpy as np
 
-from .errors import ContractError, DegenerateMapError
-from .gaze import fixation_pixels, gt_eval_map, pred_eval_map
+from .errors import GeanError
+from .gaze import GRID, fixation_pixels, gt_eval_map, pred_eval_map
 
 # ---------------------------------------------------------------------------
 # Saliency metrics
@@ -20,7 +20,7 @@ def sim(p, q):
     q = np.asarray(q, dtype=np.float64).ravel()
     sp, sq = p.sum(), q.sum()
     if sp <= 0 or sq <= 0:
-        raise DegenerateMapError("sim of an all-zero map")
+        raise GeanError("sim of an all-zero map")
     return float(np.minimum(p / sp, q / sq).sum())
 
 
@@ -29,7 +29,7 @@ def cc(p, q):
     p = np.asarray(p, dtype=np.float64).ravel()
     q = np.asarray(q, dtype=np.float64).ravel()
     if p.std() == 0 or q.std() == 0:
-        raise DegenerateMapError("cc of a constant map")
+        raise GeanError("cc of a constant map")
     return float(np.corrcoef(p, q)[0, 1])
 
 
@@ -58,7 +58,7 @@ def auc_judd(saliency, fixations):
     """AUC with negatives = all non-fixation pixels of the map."""
     saliency = np.asarray(saliency, dtype=np.float64)
     if not fixations:
-        raise ContractError("auc_judd requires at least one fixation pixel")
+        raise GeanError("auc_judd requires at least one fixation pixel")
     mask = np.zeros(saliency.shape, dtype=bool)
     for r, c in fixations:
         mask[r, c] = True
@@ -69,9 +69,9 @@ def sauc(saliency, fixations, shuffle_pool, n_splits=10, seed=0):
     """Shuffled AUC: negatives drawn from fixations of other stimuli."""
     saliency = np.asarray(saliency, dtype=np.float64)
     if not fixations:
-        raise ContractError("sauc requires at least one fixation pixel")
+        raise GeanError("sauc requires at least one fixation pixel")
     if not shuffle_pool:
-        raise ContractError("sauc requires a non-empty shuffle pool")
+        raise GeanError("sauc requires a non-empty shuffle pool")
     pos = saliency[tuple(np.asarray(fixations).T)]
     pool = saliency[tuple(np.asarray(shuffle_pool).T)]
     rng = np.random.default_rng(seed)
@@ -102,7 +102,7 @@ def eval_protocol(clips, predictor, n_sets=10, set_size=3000, seed=0):
     """
     copy_gt = predictor == "copy-gt"
     if copy_gt:
-        preds = [np.zeros((clip["n_frames"], 49, 49)) for clip in clips]
+        preds = [np.zeros((clip["n_frames"], GRID, GRID)) for clip in clips]
     else:
         preds = [np.asarray(predictor(clip)) for clip in clips]
     frames = []
@@ -117,7 +117,7 @@ def eval_protocol(clips, predictor, n_sets=10, set_size=3000, seed=0):
                 pixels.extend(fixation_pixels(fx, h, w))
         pools.append(pixels)
     if not frames:
-        raise ContractError("no eligible frames with fixations")
+        raise GeanError("no eligible frames with fixations")
 
     rng = np.random.default_rng(seed)
     cache = {}
@@ -155,6 +155,9 @@ def eval_protocol(clips, predictor, n_sets=10, set_size=3000, seed=0):
 # Language metrics
 # ---------------------------------------------------------------------------
 
+ROUGE_BETA = 1.2  # recall weight of the ROUGE-L F-measure
+CIDER_MAX_N = 4  # CIDEr averages n-gram orders 1..4
+
 
 def _ngrams(tokens, n):
     return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
@@ -179,7 +182,7 @@ def bleu(candidate, references, n=4):
     """BLEU-n for one candidate: geometric mean of clipped modified
     precisions times the brevity penalty."""
     if n not in (1, 2, 3, 4):
-        raise ContractError("bleu order must be in 1..4")
+        raise GeanError("bleu order must be in 1..4")
     if not candidate:
         warnings.warn("BLEU of an empty candidate is 0")
         return 0.0
@@ -220,7 +223,7 @@ def _lcs_len(a, b):
     return row[-1]
 
 
-def rouge_l(candidate, references, beta=1.2):
+def rouge_l(candidate, references):
     """ROUGE-L F-measure, maximum over references."""
     if not candidate:
         warnings.warn("ROUGE-L of an empty candidate is 0")
@@ -232,12 +235,13 @@ def rouge_l(candidate, references, beta=1.2):
             continue
         rec = lcs / len(ref)
         prec = lcs / len(candidate)
-        f = (1 + beta ** 2) * rec * prec / (rec + beta ** 2 * prec)
+        f = ((1 + ROUGE_BETA ** 2) * rec * prec
+             / (rec + ROUGE_BETA ** 2 * prec))
         best = max(best, f)
     return best
 
 
-def cider(candidates, references, max_n=4):
+def cider(candidates, references):
     """CIDEr over a corpus of clips.
 
     candidates: clip_id -> candidate tokens; references: clip_id ->
@@ -247,9 +251,9 @@ def cider(candidates, references, max_n=4):
     if len(ids) < 2:
         warnings.warn("CIDEr IDF is degenerate on a single-clip corpus")
     n_docs = len(references)
-    doc_freq = [Counter() for _ in range(max_n)]
+    doc_freq = [Counter() for _ in range(CIDER_MAX_N)]
     for cid in references:
-        for k in range(1, max_n + 1):
+        for k in range(1, CIDER_MAX_N + 1):
             grams = set()
             for ref in references[cid]:
                 grams.update(_ngrams(ref, k))
@@ -275,7 +279,7 @@ def cider(candidates, references, max_n=4):
     for cid in ids:
         refs = references[cid]
         score_n = []
-        for k in range(1, max_n + 1):
+        for k in range(1, CIDER_MAX_N + 1):
             clipped = _clip_counts(_ngrams(candidates[cid], k), refs, k)
             cand_vec = tfidf(clipped, k)
             sims = [cosine(cand_vec, tfidf(_ngrams(ref, k), k))

@@ -4,7 +4,7 @@ import os
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import GeanError
 
 SEED_ENV = "GEAN_SEED"
 
@@ -31,18 +31,16 @@ def finite_loss(loss, step):
 # data, grad, m, v and two scratch buffers, 6 x 256 KB in float32, stay in
 # a 2 MB L2 cache while the block's seven updates run over them.
 ADAM_BLOCK = 65536
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # the defaults of arXiv:1412.6980
 
 
 class AdamState:
     """Adam with bias correction; moments live per parameter by name."""
 
-    def __init__(self, lr=1e-4, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, lr=1e-4):
         if lr < 0:
-            raise ConfigError("learning rate must be >= 0, got %g" % lr)
+            raise GeanError("learning rate must be >= 0, got %g" % lr)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {}
         self.v = {}
@@ -55,7 +53,7 @@ class AdamState:
         the whole-array update, so the result is the same to the bit.
         """
         self.t += 1
-        b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
+        b1, b2, lr, eps = BETA1, BETA2, self.lr, EPS
         c1, c2 = 1 - b1 ** self.t, 1 - b2 ** self.t
         scratch = {}
         for p in params:
@@ -109,7 +107,7 @@ def init_xavier(shape, rng, dtype=np.float64):
         fan_in = kh * kw * cin
         fan_out = kh * kw * cout
     else:
-        raise ConfigError("unsupported shape for xavier init: %s" % (shape,))
+        raise GeanError("unsupported shape for xavier init: %s" % (shape,))
     bound = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=shape).astype(dtype)
 

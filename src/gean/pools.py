@@ -4,11 +4,12 @@ baselines (uniform / random / central / peripheral)."""
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, DimensionError
-from .gaze import gaussian_blur, normalize_l1
+from .data import FEATURE_GRID
+from .errors import GeanError
+from .gaze import GRID, gaussian_blur, normalize_l1
 
-ATTN_GRID = 7
 DEFAULT_LAMBDA = 0.6
+FIXED_GAZE_SIGMA = 1.0  # blur of the fixed baselines' one-hot cell
 POOL_SCENE = 20
 POOL_MOTION = 35
 POOL_FOVEA = 35
@@ -18,12 +19,13 @@ def spatial_attention(g, lam=DEFAULT_LAMBDA):
     """7x7 attention map: average-pool the 49x49 gaze map with a 7x7
     kernel, add a uniform distribution of strength lam, l1-normalize."""
     g = np.asarray(g, dtype=np.float64)
-    if g.shape != (49, 49):
-        raise DimensionError("gaze map must be 49x49, got %s" % (g.shape,))
+    if g.shape != (GRID, GRID):
+        raise GeanError("gaze map must be 49x49, got %s" % (g.shape,))
     if lam < 0:
-        raise ConfigError("lambda must be >= 0, got %g" % lam)
-    pooled = g.reshape(7, 7, 7, 7).mean(axis=(1, 3))  # sums to (sum g)/49
-    alpha = pooled + lam / 49.0
+        raise GeanError("lambda must be >= 0, got %g" % lam)
+    k = GRID // FEATURE_GRID
+    pooled = g.reshape(FEATURE_GRID, k, FEATURE_GRID, k).mean(axis=(1, 3))
+    alpha = pooled + lam / FEATURE_GRID ** 2  # pooled sums to (sum g)/49
     return alpha / alpha.sum()
 
 
@@ -32,15 +34,15 @@ def attend_features(alpha, features):
     alpha = np.asarray(alpha, dtype=np.float64)
     features = np.asarray(features)
     if alpha.shape != features.shape[:2]:
-        raise DimensionError("attention %s does not match feature grid %s"
-                             % (alpha.shape, features.shape))
+        raise GeanError("attention %s does not match feature grid %s"
+                        % (alpha.shape, features.shape))
     return np.tensordot(alpha, features, axes=([0, 1], [0, 1]))
 
 
 def pool_indices(n, n_max):
     """Frame indices used to fit n frames into an n_max-length pool."""
     if n < 1:
-        raise ContractError("cannot build a pool from zero frames")
+        raise GeanError("cannot build a pool from zero frames")
     if n < n_max:
         return [i % n for i in range(n_max)]
     return [(i * n) // n_max for i in range(n_max)]
@@ -53,7 +55,7 @@ def build_pool(vectors, n_max):
     return vectors[pool_indices(len(vectors), n_max)]
 
 
-def fixed_gaze(kind, seed=0, sigma=1.0):
+def fixed_gaze(kind, seed=0):
     """Fixed 7x7 attention baselines replacing the learned gaze.
 
     uniform: 1/49 everywhere. random: blurred one-hot at a seed-chosen
@@ -61,17 +63,17 @@ def fixed_gaze(kind, seed=0, sigma=1.0):
     l1-normalized inverse (max - value) of the central map.
     """
     if kind == "uniform":
-        return np.full((ATTN_GRID, ATTN_GRID), 1.0 / 49.0)
+        return np.full((FEATURE_GRID, FEATURE_GRID), 1.0 / FEATURE_GRID ** 2)
     if kind == "random":
         rng = np.random.default_rng(seed)
-        r, c = rng.integers(0, ATTN_GRID, size=2)
+        r, c = rng.integers(0, FEATURE_GRID, size=2)
     elif kind in ("central", "peripheral"):
-        r = c = ATTN_GRID // 2
+        r = c = FEATURE_GRID // 2
     else:
-        raise ConfigError("unknown fixed gaze kind %r" % (kind,))
-    onehot = np.zeros((ATTN_GRID, ATTN_GRID))
+        raise GeanError("unknown fixed gaze kind %r" % (kind,))
+    onehot = np.zeros((FEATURE_GRID, FEATURE_GRID))
     onehot[r, c] = 1.0
-    smoothed = normalize_l1(gaussian_blur(onehot, sigma))
+    smoothed = normalize_l1(gaussian_blur(onehot, FIXED_GAZE_SIGMA))
     if kind == "peripheral":
         return normalize_l1(smoothed.max() - smoothed)
     return smoothed

@@ -7,17 +7,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, ContractError, DimensionError
-from .gaze import GRID as OUT_GRID, mirror_augment
+from .data import FEATURE_DIM, FEATURE_GRID
+from .errors import GeanError
+from .gaze import GRID, mirror_augment
 from .optim import AdamState, finite_loss, init_xavier, resolve_seed
 from .tensor import Parameter, ParameterSet, Tape, Tensor, no_grad
 
-GRID = 7  # the ConvGRU runs on GRID x GRID feature cells
+MIRROR_PROB = 0.5  # chance that a training step flips its clip left-right
 
 
 @dataclass
 class RgpConfig:
-    in_channels: int = 1024
+    in_channels: int = FEATURE_DIM
     proj_channels: int = 512
     hidden: int = 128
     readout_channels: tuple = (64, 32, 16)
@@ -28,7 +29,6 @@ class RgpTrainConfig:
     lr: float = 1e-4
     steps: int = 2000
     seed: int = None
-    mirror_prob: float = 0.5
     target_loss: float = None  # stop early once reached
 
 
@@ -91,7 +91,7 @@ def rgp_cell_step(wx, h_prev, params):
 def rgp_readout_scores(h, params):
     """Readout logits: three deconvs, a 1x1 conv, 8x8 average pool.
 
-    h: (7,7,hidden) or (N,7,7,hidden); returns (..., OUT_GRID**2) scores.
+    h: (7,7,hidden) or (N,7,7,hidden); returns (..., GRID**2) scores.
     The 1x1 conv r follows d3 with nothing in between, so it is contracted
     into d3's output channels: one (4,4,1,c2) kernel, one deconv.
     """
@@ -101,22 +101,22 @@ def rgp_readout_scores(h, params):
     y = T.conv_transpose2d(y, k, stride=2, pad=1)
     y = T.avg_pool2d(y, 8, 8, stride=1)
     lead = y.shape[:-3]
-    return T.reshape(y, lead + (OUT_GRID * OUT_GRID,))
+    return T.reshape(y, lead + (GRID * GRID,))
 
 
 def rgp_forward_scores(features, params):
-    """Per-frame readout logits (N, OUT_GRID**2) for a clip.
+    """Per-frame readout logits (N, GRID**2) for a clip.
 
     Input-side convolutions are batched over frames; the recurrence and
     readout follow.
     """
     x = features if isinstance(features, Tensor) else Tensor(features)
     if x.ndim != 4 or x.shape[0] < 1:
-        raise ContractError("expected a non-empty (N,7,7,C) feature sequence")
+        raise GeanError("expected a non-empty (N,7,7,C) feature sequence")
     n = x.shape[0]
     proj = T.conv2d(x, params.p_in)
     wx_all = T.conv2d(proj, params.w_zrh, stride=1, pad=1)
-    h = Tensor(np.zeros((GRID, GRID, params.config.hidden),
+    h = Tensor(np.zeros((FEATURE_GRID, FEATURE_GRID, params.config.hidden),
                         dtype=x.data.dtype))
     states = []
     for t in range(n):
@@ -132,17 +132,17 @@ def predict_gaze(features, params):
     with no_grad():
         scores = rgp_forward_scores(features, params)
         return T.reshape(T.softmax(scores, axis=-1),
-                         (scores.shape[0], OUT_GRID, OUT_GRID)).data
+                         (scores.shape[0], GRID, GRID)).data
 
 
 def _loss_weights(gts, mask):
     gts = np.asarray(gts, dtype=np.float64)
     mask = np.asarray(mask, dtype=bool)
     if gts.shape[0] != mask.shape[0]:
-        raise DimensionError("targets and mask length mismatch")
+        raise GeanError("targets and mask length mismatch")
     kept = int(mask.sum())
     if kept == 0:
-        raise ContractError("all frames masked out of the gaze loss")
+        raise GeanError("all frames masked out of the gaze loss")
     w = gts * mask[:, None, None] / kept
     return w.reshape(gts.shape[0], -1)
 
@@ -166,7 +166,7 @@ def target_entropy(dataset):
                 total += float(-(nz * np.log(nz)).sum())
                 count += 1
     if count == 0:
-        raise ContractError("dataset has no unmasked frames")
+        raise GeanError("dataset has no unmasked frames")
     return total / count
 
 
@@ -175,7 +175,7 @@ def train_rgp(dataset, config=None, model_config=None):
     horizontal-mirroring augmentation. Returns (params, loss history)."""
     cfg = config or RgpTrainConfig()
     if not dataset:
-        raise ConfigError("empty dataset")
+        raise GeanError("empty dataset")
     rng = np.random.default_rng(resolve_seed(cfg.seed))
     params = RgpParams.create(rng, model_config)
     opt = AdamState(lr=cfg.lr)
@@ -183,7 +183,7 @@ def train_rgp(dataset, config=None, model_config=None):
     for step in range(cfg.steps):
         clip = dataset[step % len(dataset)]
         feats, gts = clip["motion"], clip["targets"]
-        if cfg.mirror_prob > 0 and rng.random() < cfg.mirror_prob:
+        if rng.random() < MIRROR_PROB:
             feats, gts = mirror_augment(feats, gts)
         with Tape() as tape:
             scores = rgp_forward_scores(feats.astype(np.float32), params)

@@ -8,7 +8,7 @@ order) accumulates gradients into every reachable tensor.
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import ContractError, DimensionError
+from .errors import GeanError
 
 
 # ---------------------------------------------------------------------------
@@ -46,8 +46,8 @@ class Tape:
     def backward(self, loss):
         """Seed d(loss)/d(loss)=1 and replay recorded ops in reverse order."""
         if loss.data.size != 1:
-            raise ContractError("backward requires a scalar loss, got shape %s"
-                                % (loss.shape,))
+            raise GeanError("backward requires a scalar loss, got shape %s"
+                            % (loss.shape,))
         loss.grad = np.ones_like(loss.data)
         try:
             for node in reversed(self._nodes):
@@ -176,21 +176,20 @@ class ParameterSet:
         require_parameters(self.params, arrays)
         extra = sorted(set(arrays) - set(self.params))
         if extra:
-            raise ContractError("checkpoint has unknown parameter %r"
-                                % extra[0])
+            raise GeanError("checkpoint has unknown parameter %r" % extra[0])
         for n, p in self.params.items():
             if arrays[n].shape != p.shape:
-                raise DimensionError("checkpoint shape %s != %s for %r"
-                                     % (arrays[n].shape, p.shape, n))
+                raise GeanError("checkpoint shape %s != %s for %r"
+                                % (arrays[n].shape, p.shape, n))
         for n, p in self.params.items():
             p.data = np.array(arrays[n], dtype=p.data.dtype)
 
 
 def require_parameters(names, arrays):
-    """Raise ContractError naming the first (sorted) name not in arrays."""
+    """Raise GeanError naming the first (sorted) name not in arrays."""
     missing = sorted(set(names) - set(arrays))
     if missing:
-        raise ContractError("checkpoint lacks parameter %r" % missing[0])
+        raise GeanError("checkpoint lacks parameter %r" % missing[0])
 
 
 def _as_tensor(x, like=None):
@@ -257,11 +256,11 @@ def matmul(a, b):
     a = _as_tensor(a)
     b = _as_tensor(b, like=a)
     if a.data.ndim == 0 or b.data.ndim == 0:
-        raise DimensionError("matmul requires at least 1-D operands")
+        raise GeanError("matmul requires at least 1-D operands")
     try:
         data = a.data @ b.data
     except ValueError as e:
-        raise DimensionError(str(e)) from None
+        raise GeanError(str(e)) from None
     pending = None  # W @ x with W a Parameter: summed when the sweep ends
     if (isinstance(a, Parameter) and a.requires_grad and a.data.ndim == 2
             and b.data.ndim == 1 and _recording()):
@@ -338,7 +337,7 @@ def reshape(a, *shape):
 def transpose(a):
     a = _as_tensor(a)
     if a.ndim != 2:
-        raise DimensionError("transpose expects a 2-D tensor")
+        raise GeanError("transpose expects a 2-D tensor")
     data = a.data.T
 
     def backward(g):
@@ -423,7 +422,7 @@ def column(M, j):
     array j (embedding lookup); repeated columns sum their gradients."""
     M = _as_tensor(M)
     if M.ndim != 2:
-        raise DimensionError("column expects a 2-D tensor")
+        raise GeanError("column expects a 2-D tensor")
     data = M.data[:, j].copy()
 
     def backward(g):
@@ -487,7 +486,7 @@ def softmax(a, axis=-1):
     """Numerically stabilized softmax along one axis."""
     a = _as_tensor(a)
     if a.data.size == 0:
-        raise DimensionError("softmax of empty tensor")
+        raise GeanError("softmax of empty tensor")
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     data = e / e.sum(axis=axis, keepdims=True)
@@ -503,7 +502,7 @@ def softmax(a, axis=-1):
 def log_softmax(a, axis=-1):
     a = _as_tensor(a)
     if a.data.size == 0:
-        raise DimensionError("log_softmax of empty tensor")
+        raise GeanError("log_softmax of empty tensor")
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
     data = shifted - lse
@@ -534,8 +533,8 @@ def _batched(x):
         return x[None], True
     if x.ndim == 4:
         return x, False
-    raise DimensionError("expected 3-D (H,W,C) or 4-D (N,H,W,C), got %s"
-                         % (x.shape,))
+    raise GeanError("expected 3-D (H,W,C) or 4-D (N,H,W,C), got %s"
+                    % (x.shape,))
 
 
 def _im2col(xp, kh, kw, stride, ho, wo):
@@ -586,15 +585,15 @@ def conv2d(x, kernel, stride=1, pad=0):
     x = _as_tensor(x)
     kernel = _as_tensor(kernel, like=x)
     if stride < 1:
-        raise DimensionError("stride must be >= 1")
+        raise GeanError("stride must be >= 1")
     xb, squeeze = _batched(x.data)
     kh, kw, cin, cout = kernel.shape
     n, h, w, cx = xb.shape
     if cx != cin:
-        raise DimensionError("conv2d channel mismatch: input %d vs kernel %d"
-                             % (cx, cin))
+        raise GeanError("conv2d channel mismatch: input %d vs kernel %d"
+                        % (cx, cin))
     if kh > h + 2 * pad or kw > w + 2 * pad:
-        raise DimensionError("kernel larger than padded input")
+        raise GeanError("kernel larger than padded input")
     out, cols = _conv_data(xb, kernel.data, stride, pad)
     ho, wo = out.shape[1:3]
 
@@ -622,17 +621,17 @@ def conv_transpose2d(x, kernel, stride=1, pad=0):
     x = _as_tensor(x)
     kernel = _as_tensor(kernel, like=x)
     if stride < 1:
-        raise DimensionError("stride must be >= 1")
+        raise GeanError("stride must be >= 1")
     xb, squeeze = _batched(x.data)
     kh, kw, cout, cin = kernel.shape
     n, h, w, cx = xb.shape
     if cx != cin:
-        raise DimensionError("conv_transpose2d channel mismatch: input %d vs "
-                             "kernel %d" % (cx, cin))
+        raise GeanError("conv_transpose2d channel mismatch: input %d vs "
+                        "kernel %d" % (cx, cin))
     ho = (h - 1) * stride + kh - 2 * pad
     wo = (w - 1) * stride + kw - 2 * pad
     if ho <= 0 or wo <= 0:
-        raise DimensionError("non-positive output extent (%d, %d)" % (ho, wo))
+        raise GeanError("non-positive output extent (%d, %d)" % (ho, wo))
 
     # Sub-pixel form. Output row q*s + r sums x[q - a] * K[a*s + r] over
     # a < A = ceil(kh/s), with K zero-padded to A*s rows (columns alike).
@@ -673,8 +672,8 @@ def avg_pool2d(x, kh, kw, stride):
     xb, squeeze = _batched(x.data)
     n, h, w, c = xb.shape
     if kh > h or kw > w:
-        raise DimensionError("pooling window (%d,%d) larger than input (%d,%d)"
-                             % (kh, kw, h, w))
+        raise GeanError("pooling window (%d,%d) larger than input (%d,%d)"
+                        % (kh, kw, h, w))
     ho = (h - kh) // stride + 1
     wo = (w - kw) // stride + 1
     # window sums are separable: kh row slices, then kw column slices
@@ -711,16 +710,17 @@ def avg_pool2d(x, kh, kw, stride):
 # below them; where long double is plain double, a fourth-order five-point
 # stencil at a larger step stands in.
 _LONGDOUBLE_WIDER = np.finfo(np.longdouble).eps < np.finfo(np.float64).eps
+_CENTRAL_H = 1e-5
 _FIVE_POINT_H = 1e-3
 
 
-def grad_check(f, params, h=1e-5):
+def grad_check(f, params):
     """Max relative error between autodiff and finite differences.
 
     f is a no-argument callable returning a scalar Tensor built from
     `params` (a sequence of Parameters). Autodiff runs at the parameters'
-    own dtype. The reference is a central difference with step h, computed
-    in np.longdouble; on platforms whose long double is no wider than
+    own dtype. The reference is a central difference with step 1e-5,
+    computed in np.longdouble; on platforms whose long double is no wider than
     double it is a five-point stencil in float64 with step 1e-3 instead.
     Relative error per element is |g_ad - g_fd| / max(|g_ad|, |g_fd|, 1e-8).
     Every Parameter's data (values and dtype) and grad are restored.
@@ -728,7 +728,7 @@ def grad_check(f, params, h=1e-5):
     params = list(params)
     saved = [(p.data, p.grad) for p in params]
     if _LONGDOUBLE_WIDER:
-        dtype, step, pairs, denom = np.longdouble, h, ((1, 1),), 2
+        dtype, step, pairs, denom = np.longdouble, _CENTRAL_H, ((1, 1),), 2
     else:
         dtype, step, pairs, denom = (np.float64, _FIVE_POINT_H,
                                      ((1, 8), (2, -1)), 12)

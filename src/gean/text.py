@@ -2,7 +2,7 @@
 
 import re
 
-from .errors import ConfigError
+from .errors import GeanError
 
 BOS = "<BOS>"
 EOS = "<EOS>"
@@ -55,5 +55,5 @@ def build_vocab(captions):
     vocab = Vocabulary(tok for caption in captions
                        for tok in tokenize(caption))
     if len(vocab) == 3:  # only <BOS>, <EOS>, <UNK>
-        raise ConfigError("empty caption corpus")
+        raise GeanError("empty caption corpus")
     return vocab

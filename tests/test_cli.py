@@ -167,14 +167,16 @@ def test_caption_rejects_wrong_shaped_checkpoint(dataset, tmp_path, capsys):
                              ("b_%s_zr", "b_%s_z b_%s_r")):
             per_gate = _per_gate(per_gate, fused % pre,
                                  [n % pre for n in names.split()], 0)
+    ckpt = tmp_path / "decoder.ckpt"
     for arrays, named in ((wrong_shape, "'w_out'"), (per_gate, "'att_u_h'")):
-        data.save_checkpoint(tmp_path / "decoder.ckpt", arrays)
+        data.save_checkpoint(ckpt, arrays)
         rc = main(["caption", "--manifest", str(dataset),
-                   "--decoder", str(tmp_path / "decoder.ckpt"),
+                   "--decoder", str(ckpt),
                    "--decoder-meta", str(meta), "--gaze", "uniform",
                    "--out", str(tmp_path / "caps")])
         assert rc == 1
-        assert named in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert named in err and str(ckpt) in err
 
 
 @pytest.mark.parametrize("edit, n_words, message", [
@@ -182,8 +184,10 @@ def test_caption_rejects_wrong_shaped_checkpoint(dataset, tmp_path, capsys):
     (lambda a: a.update(embedding=a["embedding"].ravel()), 2,
      "'embedding' has 1 axes"),
     (lambda a: None, 3, "5 embedding columns"),
+    (lambda a: a.pop("w_out"), 2, "lacks parameter 'w_out'"),
+    (lambda a: a.update(extra=np.zeros(2)), 2, "unknown parameter 'extra'"),
 ], ids=["missing-sizing-parameter", "one-axis-embedding",
-        "word-count-mismatch"])
+        "word-count-mismatch", "missing-parameter", "unknown-parameter"])
 def test_caption_sizes_decoder_from_checkpoint(dataset, tmp_path, capsys,
                                                edit, n_words, message):
     cfg = decoder.DecoderConfig(vocab_size=5, embed=4, hidden=4, att=3,
@@ -199,9 +203,9 @@ def test_caption_sizes_decoder_from_checkpoint(dataset, tmp_path, capsys,
                "--out", str(tmp_path / "caps")])
     err = capsys.readouterr().err
     assert rc == 1
-    assert message in err
+    assert message in err and str(ckpt) in err
     # a wrong word count is a mismatch between the two files
-    assert n_words == 2 or (str(ckpt) in err and str(meta) in err)
+    assert n_words == 2 or str(meta) in err
 
 
 def test_predict_gaze_rejects_checkpoint_missing_sizing_parameter(
@@ -214,15 +218,22 @@ def test_predict_gaze_rejects_checkpoint_missing_sizing_parameter(
     per_gate = _per_gate(_per_gate(arrays, "w_zrh", ["w_z", "w_r", "w_h"], 3),
                          "u_zr", ["u_z", "u_r"], 3)
     one_axis = dict(arrays, p_in=arrays["p_in"].ravel())
+    no_r = {k: v for k, v in arrays.items() if k != "r"}
+    extra = dict(arrays, extra=np.zeros(2))
+    narrow_r = dict(arrays, r=arrays["r"][:, :, :-1])
     capsys.readouterr()
+    ckpt = tmp_path / "rgp.ckpt"
     for arrays, named in ((no_d2, "'d2'"), (per_gate, "'u_zr'"),
-                          (one_axis, "'p_in' has 1 axes")):
-        data.save_checkpoint(tmp_path / "rgp.ckpt", arrays)
+                          (one_axis, "'p_in' has 1 axes"),
+                          (no_r, "lacks parameter 'r'"),
+                          (extra, "unknown parameter 'extra'"),
+                          (narrow_r, "for 'r'")):
+        data.save_checkpoint(ckpt, arrays)
         rc = main(["predict-gaze", "--manifest", str(dataset),
-                   "--rgp", str(tmp_path / "rgp.ckpt"),
-                   "--out", str(tmp_path / "pred")])
+                   "--rgp", str(ckpt), "--out", str(tmp_path / "pred")])
         assert rc == 1
-        assert named in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert named in err and str(ckpt) in err
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself

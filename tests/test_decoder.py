@@ -10,7 +10,7 @@ from gean.decoder import (CHANNELS, DROPOUT, DecoderConfig, DecoderParams,
                           DecoderState, attention_keys, build_clip_pools,
                           caption_loss, decode_greedy, decode_step, gru_step,
                           l2_penalty, teacher_forced_loss, temporal_attention)
-from gean.errors import ConfigError, ContractError, DimensionError
+from gean.errors import GeanError
 from gean.pools import POOL_FOVEA, POOL_MOTION, POOL_SCENE
 from gean.tensor import Parameter, Tape, Tensor, no_grad
 from gean.text import Vocabulary
@@ -209,7 +209,7 @@ def test_decode_step_rejects_bad_word():
                            ([1, 2, 3, 4, 7], "span word 4 has index 7"),
                            ([], "non-empty"), ([1.0, 2.0], "integer")):
         with Tape() as tape:
-            with pytest.raises(ContractError, match=message):
+            with pytest.raises(GeanError, match=message):
                 decode_step(state, keys, words, params)
         assert tape._nodes == [], words
 
@@ -282,12 +282,12 @@ def test_caption_loss_zero_params_ln_v():
 
 
 def test_caption_loss_empty_targets():
-    with pytest.raises(ContractError):
+    with pytest.raises(GeanError, match="empty ground-truth sequence"):
         caption_loss([], [], make_params())
 
 
 def test_caption_loss_rejects_length_mismatch():
-    with pytest.raises(DimensionError, match="for 3 targets"):
+    with pytest.raises(GeanError, match="for 3 targets"):
         caption_loss(Tensor(np.zeros((CFG.vocab_size, 2))), [1, 2, 3],
                      make_params())
 
@@ -321,7 +321,7 @@ def test_build_clip_pools_fixed_gaze_shapes():
 
 def test_build_clip_pools_learned_requires_rgp():
     rng = np.random.default_rng(16)
-    with pytest.raises(ConfigError):
+    with pytest.raises(GeanError, match="learned gaze requires RGP"):
         build_clip_pools(rng.standard_normal((2, 8)),
                          rng.standard_normal((2, 7, 7, 8)),
                          rng.standard_normal((2, 7, 7, 8)),

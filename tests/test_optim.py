@@ -5,7 +5,7 @@ import pytest
 
 from gean.decoder import (CHANNELS, DecoderConfig, DecoderParams,
                           teacher_forced_loss)
-from gean.errors import ConfigError
+from gean.errors import GeanError
 from gean.optim import (ADAM_BLOCK, AdamState, init_orthogonal, init_xavier,
                         resolve_seed)
 from gean.tensor import Parameter, Tape
@@ -29,7 +29,7 @@ def test_adam_single_step_hand_value():
 
 
 def test_adam_negative_lr_rejected():
-    with pytest.raises(ConfigError):
+    with pytest.raises(GeanError, match="learning rate must be >= 0"):
         AdamState(lr=-1e-4)
 
 

@@ -4,7 +4,7 @@ pool sizing, and the fixed-gaze baselines."""
 import numpy as np
 import pytest
 
-from gean.errors import ConfigError, ContractError, DimensionError
+from gean.errors import GeanError
 from gean.pools import (attend_features, build_pool, fixed_gaze, pool_indices,
                         spatial_attention)
 
@@ -37,9 +37,9 @@ def test_lambda_zero_one_hot():
 
 
 def test_spatial_attention_bad_inputs():
-    with pytest.raises(DimensionError):
+    with pytest.raises(GeanError, match="gaze map must be 49x49"):
         spatial_attention(np.zeros((7, 7)))
-    with pytest.raises(ConfigError):
+    with pytest.raises(GeanError, match="lambda must be >= 0"):
         spatial_attention(np.full((49, 49), 1 / 2401.0), lam=-0.1)
 
 
@@ -84,7 +84,7 @@ def test_pool_subsample_every_second():
 
 
 def test_pool_empty_rejected():
-    with pytest.raises(ContractError):
+    with pytest.raises(GeanError, match="cannot build a pool from zero"):
         pool_indices(0, 5)
 
 
@@ -124,5 +124,5 @@ def test_random_baseline_seeded():
 
 
 def test_unknown_kind_rejected():
-    with pytest.raises(ConfigError):
+    with pytest.raises(GeanError, match="unknown fixed gaze kind 'nope'"):
         fixed_gaze("nope")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gean import tensor as T
-from gean.errors import ContractError
+from gean.errors import GeanError
 from gean.rgp import (RgpConfig, RgpParams, RgpTrainConfig, predict_gaze,
                       rgp_cell_step, rgp_loss_from_scores, rgp_readout_scores,
                       target_entropy, train_rgp)
@@ -205,7 +205,7 @@ def test_forward_repeated_input_converges():
 
 
 def test_forward_rejects_empty():
-    with pytest.raises(ContractError):
+    with pytest.raises(GeanError, match="expected a non-empty"):
         predict_gaze(np.zeros((0, 7, 7, 4)), small_params())
 
 
@@ -246,7 +246,7 @@ def test_loss_mask_drops_frames():
     only_first = rgp_loss(pred[:1], gt[:1], np.ones(1, dtype=bool)).item()
     masked = rgp_loss(pred, gt, np.array([True, False])).item()
     assert masked == pytest.approx(only_first, abs=1e-9)
-    with pytest.raises(ContractError):
+    with pytest.raises(GeanError, match="all frames masked out"):
         rgp_loss(pred, gt, np.zeros(2, dtype=bool))
 
 
@@ -286,7 +286,7 @@ def test_train_deterministic_loss_curves():
 def test_train_stops_on_non_finite_loss():
     dataset = _toy_dataset(n_frames=4) + _toy_dataset(seed=1, n_frames=4)
     dataset[1]["motion"][2, 3, 3, 0] = np.nan
-    cfg = RgpTrainConfig(lr=1e-4, steps=4, seed=0, mirror_prob=0.0)
+    cfg = RgpTrainConfig(lr=1e-4, steps=4, seed=0)
     with pytest.raises(FloatingPointError, match="nan at training step 2"):
         train_rgp(dataset, cfg, model_config=SMALL)
 

@@ -7,7 +7,7 @@ import pytest
 from gean import tensor as T
 from gean.checks import SMALL_DECODER, SMALL_RGP
 from gean.decoder import DecoderParams
-from gean.errors import DimensionError, GeanError
+from gean.errors import GeanError
 from gean.rgp import RgpParams
 from gean.tensor import Parameter, Tape, Tensor, grad_check
 
@@ -41,7 +41,7 @@ def test_conv2d_zero_kernel():
 
 
 def test_conv2d_channel_mismatch():
-    with pytest.raises(DimensionError):
+    with pytest.raises(GeanError, match="mismatch: input 2 vs kernel 3"):
         T.conv2d(Tensor(np.ones((5, 5, 2))), Tensor(np.ones((3, 3, 3, 1))))
 
 

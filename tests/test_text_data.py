@@ -10,7 +10,7 @@ from gean import data
 from gean.data import (gaze_training_clips, load_checkpoint, load_dataset,
                        make_synthetic, read_feature_file,
                        save_checkpoint, write_feature_file)
-from gean.errors import ContractError, FormatError, GeanError
+from gean.errors import FormatError, GeanError
 from gean.text import Vocabulary, build_vocab, tokenize
 
 
@@ -85,11 +85,11 @@ def test_feature_file_truncated(tmp_path):
 
 
 def test_feature_file_rejects_scalar(tmp_path):
-    with pytest.raises(ContractError):
+    with pytest.raises(GeanError, match="empty or 0-d tensor"):
         write_feature_file(tmp_path / "s.bin", np.float32(1.0))
-    with pytest.raises(ContractError):
+    with pytest.raises(GeanError, match="empty or 0-d tensor"):
         write_feature_file(tmp_path / "e.bin", np.zeros((0, 3)))
-    with pytest.raises(ContractError):
+    with pytest.raises(GeanError, match="empty or 0-d tensor"):
         save_checkpoint(tmp_path / "e.ckpt", {"w": np.zeros((2, 0))})
 
 
@@ -245,16 +245,15 @@ def test_readers_survive_byte_mutations(tmp_path):
 @pytest.fixture(scope="module")
 def synth(tmp_path_factory):
     out = tmp_path_factory.mktemp("synth")
-    manifest_path = make_synthetic(out, n_clips=3, n_frames=6, feat_dim=64,
-                                   seed=0)
+    manifest_path = make_synthetic(out, n_clips=3, n_frames=6, seed=0)
     return manifest_path
 
 
 def test_synthetic_deterministic(tmp_path):
     a = tmp_path / "a"
     b = tmp_path / "b"
-    pa = make_synthetic(a, n_clips=2, n_frames=4, feat_dim=32, seed=5)
-    pb = make_synthetic(b, n_clips=2, n_frames=4, feat_dim=32, seed=5)
+    pa = make_synthetic(a, n_clips=2, n_frames=4, seed=5)
+    pb = make_synthetic(b, n_clips=2, n_frames=4, seed=5)
     for rel in ("manifest.json", "clip000_motion.bin", "clip001_scene.bin",
                 "clip000_fixations.csv"):
         assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
@@ -304,7 +303,7 @@ def test_manifest_shape_validation(tmp_path):
     bad = np.zeros((2, 10), dtype=np.float32)
     write_feature_file(tmp_path / manifest["clips"][0]["features"]["scene"],
                        bad)
-    with pytest.raises(ContractError):
+    with pytest.raises(GeanError, match="scene features have shape"):
         load_dataset(mp)
 
 
