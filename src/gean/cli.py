@@ -257,17 +257,28 @@ def cmd_gradcheck(args):
 # Parser
 # ---------------------------------------------------------------------------
 
-def _count(text):
-    """argparse type of a count flag: a positive int, so that a zero count
-    cannot end in an empty report or a vacuous pass."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("%r is not an integer" % text) \
-            from None
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
-    return value
+def _number(cast, minimum):
+    """argparse type of a numeric flag: finite and at least `minimum`. A zero
+    count ends in an empty report or a vacuous pass; a NaN, an infinite or
+    a negative rate, in a bare FloatingPointError or rewarded weight growth."""
+    def parse(text):
+        try:
+            value = cast(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError("%r is not a valid %s"
+                                             % (text, cast.__name__)) from None
+        if cast is float and not np.isfinite(value):
+            raise argparse.ArgumentTypeError("must be finite, got %s" % text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError("must be at least %g, got %s"
+                                             % (minimum, text))
+        return value
+    return parse
+
+
+_count = _number(int, 1)
+_rate = _number(float, 0)
+_finite = _number(float, -np.inf)
 
 
 def build_parser():
@@ -288,9 +299,9 @@ def build_parser():
 
     p = sub.add_parser("train-rgp")
     common(p)
-    p.add_argument("--lr", type=float, default=1e-4)
+    p.add_argument("--lr", type=_rate, default=1e-4)
     p.add_argument("--steps", type=_count, default=2000)
-    p.add_argument("--target-loss", type=float, default=None)
+    p.add_argument("--target-loss", type=_finite, default=None)
     p.set_defaults(func=cmd_train_rgp)
 
     p = sub.add_parser("predict-gaze")
@@ -302,11 +313,11 @@ def build_parser():
     common(p)
     p.add_argument("--rgp", default=None)
     p.add_argument("--gaze", choices=GAZE_KINDS, default="learned")
-    p.add_argument("--lr", type=float, default=1e-4)
+    p.add_argument("--lr", type=_rate, default=1e-4)
     p.add_argument("--steps", type=_count, default=5000)
-    p.add_argument("--l2", type=float, default=1e-5)
+    p.add_argument("--l2", type=_rate, default=1e-5)
     p.add_argument("--max-len", type=_count, default=decoder.MAX_LEN)
-    p.add_argument("--lambda", dest="lam", type=float, default=DEFAULT_LAMBDA)
+    p.add_argument("--lambda", dest="lam", type=_rate, default=DEFAULT_LAMBDA)
     p.set_defaults(func=cmd_train_captioner)
 
     p = sub.add_parser("caption")
@@ -316,7 +327,7 @@ def build_parser():
     p.add_argument("--decoder-meta", required=True)
     p.add_argument("--gaze", choices=GAZE_KINDS, default="learned")
     p.add_argument("--max-len", type=_count, default=decoder.MAX_LEN)
-    p.add_argument("--lambda", dest="lam", type=float, default=DEFAULT_LAMBDA)
+    p.add_argument("--lambda", dest="lam", type=_rate, default=DEFAULT_LAMBDA)
     p.set_defaults(func=cmd_caption)
 
     p = sub.add_parser("eval-gaze")

@@ -3,6 +3,7 @@ aggregation, multimodal GRU, word softmax, greedy decoding, and the
 captioner training loop (gaze predictor frozen)."""
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -238,11 +239,7 @@ def decode_greedy(pools, params, vocab, max_len=MAX_LEN):
 def l2_penalty(params, coeff):
     if coeff == 0:
         return Tensor(0.0)
-    total = None
-    for p in params.weight_matrices():
-        term = T.sumsq(p)
-        total = term if total is None else total + term
-    return coeff * total
+    return coeff * reduce(T.add, map(T.sumsq, params.weight_matrices()))
 
 
 def caption_loss(logits, targets, params, l2_coeff=0.0):

@@ -29,7 +29,7 @@ def finite_loss(loss, step):
 
 # Adam walks each Parameter in blocks of this many elements: the block's
 # data, grad, m, v and two scratch buffers, 6 x 256 KB in float32, stay in
-# a 2 MB L2 cache while the block's seven updates run over them.
+# a 2 MB L2 cache while the block's updates run over them.
 ADAM_BLOCK = 65536
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # the defaults of arXiv:1412.6980
 
@@ -38,26 +38,28 @@ class AdamState:
     """Adam with bias correction; moments live per parameter by name."""
 
     def __init__(self, lr=1e-4):
-        if lr < 0:
-            raise GeanError("learning rate must be >= 0, got %g" % lr)
-        self.lr = lr
+        if not (np.isfinite(lr) and lr >= 0):
+            raise GeanError("learning rate must be >= 0 and finite, got %g"
+                            % lr)
+        self.lr = float(lr)
         self.t = 0
         self.m = {}
         self.v = {}
 
     def step(self, params):
-        """One update over `params`, in place and block by block; each
-        Parameter keeps its grad array, zero-filled afterwards.
-
-        Elementwise, every block runs the operations and operand dtypes of
-        the whole-array update, so the result is the same to the bit.
-        """
+        """One update over `params`, in place and block by block, in the
+        efficient form of arXiv:1412.6980 Sec. 2, adding each Parameter's
+        pending l2 term per block; each keeps its grad array, zero-filled
+        and fresh. The step scalars are Python floats, as a numpy float64
+        would cast every float32 block."""
         self.t += 1
-        b1, b2, lr, eps = BETA1, BETA2, self.lr, EPS
-        c1, c2 = 1 - b1 ** self.t, 1 - b2 ** self.t
+        b1, b2, root_c2 = BETA1, BETA2, (1 - BETA2 ** self.t) ** 0.5
+        alpha = self.lr * root_c2 / (1 - b1 ** self.t)
+        eps = EPS * root_c2
         scratch = {}
         for p in params:
             dtype = p.data.dtype
+            l2, p.l2 = p.l2, 0.0  # taken first: reading grad would fold it
             # a flat view of a non-C-contiguous array would be a copy, and
             # the update or the zero-fill would be lost; the grad is held in
             # the Parameter's dtype
@@ -75,6 +77,9 @@ class AdamState:
             for lo in range(0, p.data.size, ADAM_BLOCK):
                 d, g, m, v = (a[lo:lo + ADAM_BLOCK] for a in flat)
                 a, b = (s[:d.size] for s in scratch[dtype])
+                if l2:
+                    np.multiply(d, l2, out=a)
+                    g += a
                 m *= b1
                 np.multiply(g, 1 - b1, out=a)
                 m += a
@@ -82,14 +87,13 @@ class AdamState:
                 np.multiply(g, 1 - b2, out=a)
                 a *= g
                 v += a
-                np.divide(m, c1, out=a)  # m_hat
-                a *= lr
-                np.divide(v, c2, out=b)  # v_hat
-                np.sqrt(b, out=b)
+                np.sqrt(v, out=b)
                 b += eps
+                np.multiply(m, alpha, out=a)
                 a /= b
                 d -= a
                 g.fill(0)
+            p.fresh = True
 
 
 def init_xavier(shape, rng, dtype=np.float64):

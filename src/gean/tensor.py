@@ -51,12 +51,12 @@ class Tape:
         loss.grad = np.ones_like(loss.data)
         try:
             for node in reversed(self._nodes):
-                if node.grad is not None and node._backward is not None:
-                    node._backward(node.grad)
+                if node._grad is not None and node._backward is not None:
+                    node._backward(node._grad)
             for param, pairs in self._pending.items():
                 if pairs:
                     gs, xs = zip(*pairs)
-                    param.accumulate(np.stack(gs, axis=1) @ np.stack(xs))
+                    _add_product(param, np.stack(gs, axis=1), np.stack(xs))
         finally:
             for pairs in self._pending.values():
                 pairs.clear()
@@ -79,15 +79,16 @@ def _recording():
 
 
 class Tensor:
-    """Dense n-dimensional array, optionally tracked for gradients."""
+    """Dense n-dimensional array, optionally tracked for gradients. A
+    `fresh` grad is Adam's zero fill, which `_add_product` may overwrite."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward")
+    __slots__ = ("data", "_grad", "fresh", "requires_grad", "_backward")
 
     def __init__(self, data, requires_grad=False, dtype=None):
         self.data = np.asarray(data, dtype=dtype)
         if not np.issubdtype(self.data.dtype, np.floating):
             self.data = self.data.astype(np.float64)
-        self.grad = None
+        self._grad, self.fresh = None, False
         self.requires_grad = requires_grad
         self._backward = None
 
@@ -102,11 +103,20 @@ class Tensor:
     def item(self):
         return float(self.data.reshape(()))
 
+    @property
+    def grad(self):
+        return self._grad
+
+    @grad.setter
+    def grad(self, g):
+        self._grad, self.fresh = g, False
+
     def accumulate(self, g):
-        if self.grad is None:
-            self.grad = np.array(g, dtype=self.data.dtype, copy=True)
+        if self._grad is None:
+            self._grad = np.array(g, dtype=self.data.dtype, copy=True)
         else:
-            self.grad += g
+            self._grad += g
+        self.fresh = False
 
     def __repr__(self):
         return "Tensor(shape=%s, dtype=%s)" % (self.shape, self.data.dtype)
@@ -124,9 +134,6 @@ class Tensor:
     def __rmul__(self, other):
         return mul(self, other)
 
-    def __sub__(self, other):
-        return add(self, mul(other, -1.0))
-
     def __rsub__(self, other):
         return add(mul(self, -1.0), other)
 
@@ -135,13 +142,26 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """Named trainable tensor; `grad` is zero-filled after an optimizer step."""
+    """Named trainable tensor. sumsq's backward leaves its 2g in `l2`, not
+    2g * data in the grad: reading `grad` folds it in, Adam adds it block by
+    block, the tape's own adds leave it, and assigning `grad` drops it."""
 
-    __slots__ = ("name",)
+    __slots__ = ("name", "l2")
 
     def __init__(self, name, value, dtype=None):
         super().__init__(value, requires_grad=True, dtype=dtype)
-        self.name = name
+        self.name, self.l2 = name, 0.0
+
+    @property
+    def grad(self):
+        if self.l2:
+            self.accumulate(self.l2 * self.data)
+            self.l2 = 0.0
+        return self._grad
+
+    @grad.setter
+    def grad(self, g):
+        self._grad, self.fresh, self.l2 = g, False, 0.0
 
     def __repr__(self):
         return "Parameter(%r, shape=%s)" % (self.name, self.shape)
@@ -207,6 +227,17 @@ def _make(data, backward, requires_grad):
         out._backward = backward
         _TAPE_STACK[-1].record(out)
     return out
+
+
+def _add_product(t, a, b):
+    """Add a @ b, reshaped to t's shape, into t's grad; a 2-D product of
+    the dtype of a fresh grad is written into it, with no temporary."""
+    if (t.fresh and a.ndim == b.ndim == 2
+            and a.dtype == b.dtype == t._grad.dtype):
+        np.matmul(a, b, out=t._grad.reshape(a.shape[0], b.shape[1]))
+        t.fresh = False
+    else:
+        t.accumulate((a @ b).reshape(t.shape))
 
 
 def _unbroadcast(grad, shape):
@@ -287,9 +318,9 @@ def matmul(a, b):
                 b.accumulate(g * ad)
         else:
             if a.requires_grad:
-                a.accumulate(g @ bd.swapaxes(-1, -2))
+                _add_product(a, g, bd.swapaxes(-1, -2))
             if b.requires_grad:
-                b.accumulate(ad.swapaxes(-1, -2) @ g)
+                _add_product(b, ad.swapaxes(-1, -2), g)
 
     return _make(data, backward, a.requires_grad or b.requires_grad)
 
@@ -314,7 +345,9 @@ def sumsq(a):
     data = np.dot(flat, flat)
 
     def backward(g):
-        if a.requires_grad:
+        if isinstance(a, Parameter):
+            a.l2 += float(2 * g)
+        elif a.requires_grad:
             a.accumulate((2 * g) * a.data)
 
     return _make(data, backward, a.requires_grad)
@@ -378,15 +411,16 @@ def stack(tensors, axis=0):
 
 
 def _scatter(a, idx, g):
-    """Backward of the gather a[idx]: add g into a.grad in place. Only an
+    """Backward of the gather a[idx]: add g into a's grad in place. Only an
     index array can pick one element twice, so only it needs np.add.at."""
-    if a.grad is None:
-        a.grad = np.zeros_like(a.data)
+    if a._grad is None:
+        a._grad = np.zeros_like(a.data)
+    a.fresh = False
     parts = idx if isinstance(idx, tuple) else (idx,)
     if any(np.ndim(i) for i in parts):
-        np.add.at(a.grad, idx, g)
+        np.add.at(a._grad, idx, g)
     else:  # ints and slices: a plain add, 6x cheaper than np.add.at
-        a.grad[idx] += g
+        a._grad[idx] += g
 
 
 def narrow(a, axis, start, length):
@@ -600,7 +634,7 @@ def conv2d(x, kernel, stride=1, pad=0):
     def backward(g):
         gflat = g.reshape(-1, cout)
         if kernel.requires_grad:
-            kernel.accumulate((cols.T @ gflat).reshape(kernel.shape))
+            _add_product(kernel, cols.T, gflat)
         if x.requires_grad:
             gcols = gflat @ kernel.data.reshape(-1, cout).T
             gp = _col2im(gcols.reshape(n, ho, wo, kh, kw, cin),
@@ -659,8 +693,7 @@ def conv_transpose2d(x, kernel, stride=1, pad=0):
         if x.requires_grad:
             x.accumulate(gx[0] if squeeze else gx)
         if kernel.requires_grad:
-            gk = gcols.T @ xb.reshape(-1, cin)
-            kernel.accumulate(gk.reshape(kernel.shape))
+            _add_product(kernel, gcols.T, xb.reshape(-1, cin))
 
     data = out[0] if squeeze else out
     return _make(data, backward, x.requires_grad or kernel.requires_grad)

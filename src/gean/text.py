@@ -8,16 +8,11 @@ BOS = "<BOS>"
 EOS = "<EOS>"
 UNK = "<UNK>"
 
-_WORDPUNCT = re.compile(r"\w+|[^\w\s]+", re.UNICODE)
-
 
 def tokenize(text):
-    """Word-punct split, pure-punctuation tokens dropped, lowercased."""
-    tokens = []
-    for tok in _WORDPUNCT.findall(text):
-        if re.search(r"\w", tok):
-            tokens.append(tok.lower())
-    return tokens
+    """Lowercased runs of word characters: a word-punct split with its
+    pure-punctuation tokens dropped."""
+    return [tok.lower() for tok in re.findall(r"\w+", text)]
 
 
 class Vocabulary:

@@ -61,6 +61,35 @@ def test_non_positive_count_flag_exit_1(dataset, tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["train-captioner", "--l2", "-1"], "--l2: must be at least 0, got -1"),
+    (["train-captioner", "--l2", "nan"], "--l2: must be finite, got nan"),
+    (["train-captioner", "--l2", "inf"], "--l2: must be finite, got inf"),
+    (["train-captioner", "--lr", "nan"], "--lr: must be finite, got nan"),
+    (["train-captioner", "--lr", "inf"], "--lr: must be finite, got inf"),
+    (["train-captioner", "--lambda", "nan"],
+     "--lambda: must be finite, got nan"),
+    (["train-rgp", "--lr", "nan"], "--lr: must be finite, got nan"),
+    (["train-rgp", "--lr", "inf"], "--lr: must be finite, got inf"),
+    (["train-rgp", "--target-loss", "nan"],
+     "--target-loss: must be finite, got nan"),
+    (["caption", "--decoder", "d.ckpt", "--decoder-meta", "d.json",
+      "--gaze", "uniform", "--lambda", "nan"],
+     "--lambda: must be finite, got nan"),
+], ids=["l2-negative", "l2-nan", "l2-inf", "lr-nan", "lr-inf", "lambda-nan",
+        "rgp-lr-nan", "rgp-lr-inf", "target-loss-nan", "caption-lambda-nan"])
+def test_bad_float_flag_exit_1(dataset, tmp_path, capsys, argv, message):
+    # two steps of uniform-gaze training, so that a run that gets past the
+    # parser ends quickly and without needing an RGP checkpoint
+    out = tmp_path / "out"
+    extra = {"train-captioner": ["--gaze", "uniform", "--steps", "2"],
+             "train-rgp": ["--steps", "2"]}.get(argv[0], [])
+    argv = argv + extra + ["--manifest", str(dataset), "--out", str(out)]
+    assert main(argv) == 1
+    assert "argument " + message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gradcheck_exit_0(tmp_path):
     rc = main(["gradcheck", "--out", str(tmp_path), "--instances", "2",
                "--seed", "0"])

@@ -1,5 +1,7 @@
 """Optimizer, initializer, and seed-resolution tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,8 @@ from gean.decoder import (CHANNELS, DecoderConfig, DecoderParams,
 from gean.errors import GeanError
 from gean.optim import (ADAM_BLOCK, AdamState, init_orthogonal, init_xavier,
                         resolve_seed)
-from gean.tensor import Parameter, Tape
+from gean import tensor as T
+from gean.tensor import Parameter, Tape, Tensor
 from gean.text import Vocabulary
 
 
@@ -70,10 +73,14 @@ def test_resolve_seed_env_override(monkeypatch):
 
 class ReferenceAdam:
     """The whole-array Adam loop: one temporary per operation, and a new
-    zero grad array per Parameter after each step."""
+    zero grad array per Parameter after each step. By default the update is
+    the efficient form of arXiv:1412.6980 Sec. 2, as AdamState runs it;
+    `textbook` takes it through the bias-corrected m_hat and v_hat."""
 
-    def __init__(self, lr=1e-4, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, lr=1e-4, beta1=0.9, beta2=0.999, eps=1e-8,
+                 textbook=False):
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.textbook = textbook
         self.t = 0
         self.m = {}
         self.v = {}
@@ -81,6 +88,9 @@ class ReferenceAdam:
     def step(self, params):
         self.t += 1
         b1, b2 = self.beta1, self.beta2
+        root_c2 = (1 - b2 ** self.t) ** 0.5
+        alpha = self.lr * root_c2 / (1 - b1 ** self.t)
+        eps_hat = self.eps * root_c2
         for p in params:
             g = p.grad
             if g is None:
@@ -95,9 +105,12 @@ class ReferenceAdam:
             m += (1 - b1) * g
             v *= b2
             v += (1 - b2) * g * g
-            m_hat = m / (1 - b1 ** self.t)
-            v_hat = v / (1 - b2 ** self.t)
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            if self.textbook:
+                m_hat = m / (1 - b1 ** self.t)
+                v_hat = v / (1 - b2 ** self.t)
+                p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            else:
+                p.data -= alpha * m / (np.sqrt(v) + eps_hat)
             p.grad = np.zeros_like(p.data)
 
 
@@ -164,3 +177,191 @@ def test_blocked_adam_trains_decoder_like_whole_array_loop(l2_coeff):
                 tape.backward(loss)
             opt.step(params.all())
         _assert_same_params(sides[0][0].all(), sides[1][0].all())
+
+
+def test_efficient_form_matches_textbook_adam():
+    # alpha_t = lr sqrt(1 - b2^t) / (1 - b1^t) and eps_hat = eps
+    # sqrt(1 - b2^t) against lr m_hat / (sqrt(v_hat) + eps), in float64
+    rng = np.random.default_rng(3)
+    shapes = {"matrix": (40, 30), "vector": (7,), "scalar": ()}
+    start = {n: rng.standard_normal(s) for n, s in shapes.items()}
+    new = [Parameter(n, d.copy()) for n, d in start.items()]
+    ref = [Parameter(n, d.copy()) for n, d in start.items()]
+    opt, ref_opt = AdamState(lr=1e-2), ReferenceAdam(lr=1e-2, textbook=True)
+    for _ in range(4):
+        for p, q in zip(new, ref):
+            g = rng.standard_normal(p.shape) * 10.0 ** rng.integers(-6, 2)
+            p.grad, q.grad = g.copy(), g.copy()
+        opt.step(new)
+        ref_opt.step(ref)
+    for p, q in zip(new, ref):
+        moved, ref_moved = p.data - start[p.name], q.data - start[q.name]
+        np.testing.assert_allclose(moved, ref_moved, rtol=1e-12, atol=0)
+
+
+def test_adam_non_finite_lr_rejected():
+    for lr in (float("nan"), float("inf")):
+        with pytest.raises(GeanError, match="learning rate must be >= 0 and "
+                                            "finite, got %s" % lr):
+            AdamState(lr=lr)
+
+
+# ---------------------------------------------------------------------------
+# one write per weight gradient: products into Adam's zeroed grad, and the
+# l2 term kept pending on the Parameter until Adam or a reader of `grad`
+# ---------------------------------------------------------------------------
+
+def _stepped(*params):
+    """Parameters whose grads Adam (at lr 0, so the data stay) zero-filled."""
+    AdamState(lr=0.0).step(params)
+    return params
+
+
+@pytest.fixture
+def accumulates(monkeypatch):
+    """Names of the Parameters that a sweep adds to through `accumulate`,
+    the path every contribution but a direct product write takes."""
+    calls = []
+    plain = Parameter.accumulate
+
+    def spy(self, g):
+        calls.append(self.name)
+        plain(self, g)
+
+    monkeypatch.setattr(Parameter, "accumulate", spy)
+    return calls
+
+
+def test_two_products_in_one_sweep_sum(accumulates):
+    rng = np.random.default_rng(30)
+    (P,) = _stepped(Parameter("P", rng.standard_normal((3, 4))))
+    held = P.grad
+    xs = [rng.standard_normal((4, 2)) for _ in range(2)]
+    cs = [rng.standard_normal((3, 2)) for _ in range(2)]
+    with Tape() as tape:
+        tape.backward(sum(T.tensor_sum(T.matmul(P, Tensor(x)) * Tensor(c))
+                          for x, c in zip(xs, cs)))
+    assert P.grad is held
+    np.testing.assert_allclose(P.grad, cs[0] @ xs[0].T + cs[1] @ xs[1].T,
+                               rtol=1e-14, atol=1e-14)
+    assert accumulates == ["P"]  # the first product wrote, the second added
+
+
+def test_grad_assigned_after_step_is_added_to(accumulates):
+    rng = np.random.default_rng(31)
+    (P,) = _stepped(Parameter("P", rng.standard_normal((3, 4))))
+    mine = rng.standard_normal((3, 4))
+    P.grad = mine
+    x, c = rng.standard_normal((4, 2)), rng.standard_normal((3, 2))
+    expect = mine + c @ x.T
+    with Tape() as tape:
+        tape.backward(T.tensor_sum(T.matmul(P, Tensor(x)) * Tensor(c)))
+    assert P.grad is mine
+    np.testing.assert_allclose(mine, expect, rtol=1e-14, atol=1e-14)
+    assert accumulates == ["P"]
+
+
+def test_float64_product_into_float32_parameter_falls_back(accumulates):
+    rng = np.random.default_rng(32)
+    (P,) = _stepped(Parameter("P", rng.standard_normal((3, 4)),
+                              dtype=np.float32))
+    x, c = rng.standard_normal((4, 2)), rng.standard_normal((3, 2))
+    with Tape() as tape:
+        out = T.matmul(P, Tensor(x))
+        assert out.data.dtype == np.float64
+        tape.backward(T.tensor_sum(out * Tensor(c)))
+    assert accumulates == ["P"]
+    assert P.grad.dtype == np.float32
+    np.testing.assert_array_equal(P.grad, (c @ x.T).astype(np.float32))
+
+
+@pytest.mark.parametrize("first", ["scatter", "accumulate"])
+def test_contribution_then_product_keeps_both(accumulates, first):
+    # the sweep reaches the gather or the mul (recorded last) before the
+    # product
+    rng = np.random.default_rng(33)
+    (E,) = _stepped(Parameter("E", rng.standard_normal((4, 5))))
+    x, c = rng.standard_normal((5, 3)), rng.standard_normal((4, 3))
+    idx = np.array([1, 1, 3])
+    expect = c @ x.T
+    if first == "scatter":
+        w = rng.standard_normal((4, 3))
+        np.add.at(expect, (slice(None), idx), w)
+        reach = lambda: T.column(E, idx) * Tensor(w)
+    else:
+        w = rng.standard_normal((4, 5))
+        expect += w
+        reach = lambda: E * Tensor(w)
+    with Tape() as tape:
+        product = T.tensor_sum(T.matmul(E, Tensor(x)) * Tensor(c))
+        tape.backward(product + T.tensor_sum(reach()))
+    np.testing.assert_allclose(E.grad, expect, rtol=1e-14, atol=1e-14)
+    assert accumulates == ["E"] * (1 + (first == "accumulate"))
+
+
+def test_unreached_parameter_keeps_zero_grad():
+    rng = np.random.default_rng(34)
+    P, Q = _stepped(Parameter("P", rng.standard_normal((3, 4))),
+                    Parameter("Q", rng.standard_normal((3, 4))))
+    held = Q.grad
+    with Tape() as tape:
+        tape.backward(T.tensor_sum(T.matmul(P, Tensor(np.ones((4, 2))))))
+    assert Q.grad is held and not Q.grad.any()
+
+
+def test_pending_l2_term_is_applied_once():
+    rng = np.random.default_rng(35)
+    P = Parameter("P", rng.standard_normal((3, 4)))
+    x, c = rng.standard_normal((4, 2)), rng.standard_normal((3, 2))
+
+    def sweep(coeff):
+        with Tape() as tape:
+            tape.backward(T.tensor_sum(T.matmul(P, Tensor(x)) * Tensor(c))
+                          + coeff * T.sumsq(P))
+
+    sweep(0.5)
+    assert P.l2 == 1.0  # 2g, with g = 0.5
+    expect = c @ x.T + P.data
+    np.testing.assert_array_equal(P.grad, expect)
+    np.testing.assert_array_equal(P.grad, expect)  # a second read
+    P.grad = None
+    sweep(0.5)
+    P.grad = None  # assigning drops the pending term with the grad
+    assert P.grad is None and P.l2 == 0.0
+
+    # a step adds the pending term once; the next step sees a zero grad
+    Q = Parameter("P", P.data.copy())
+    opt, ref_opt = AdamState(lr=1e-2), ReferenceAdam(lr=1e-2)
+    sweep(0.5)
+    Q.grad = c @ x.T + Q.data
+    for _ in range(2):
+        opt.step([P])
+        ref_opt.step([Q])
+        assert P.l2 == 0.0 and not P.grad.any()
+        np.testing.assert_array_equal(P.data, Q.data)
+
+
+def test_backward_peak_stays_below_largest_weight():
+    # a step with l2 on at hidden 64, feat 1024: a weight product or the l2
+    # term that built a temporary per weight would reach wg_fovea's size
+    cfg = DecoderConfig(vocab_size=8, hidden=64, feat=1024)
+    vocab = Vocabulary(["a", "b", "c", "d", "e"])
+    rng = np.random.default_rng(36)
+    params = DecoderParams.create(rng, cfg)
+    largest = max(p.data.nbytes for p in params.all())
+    assert largest == params.wg_fovea.data.nbytes == 2_097_152
+    pools = {ch: Tensor(rng.standard_normal((4, cfg.feat)), dtype=np.float32)
+             for ch in CHANNELS}
+    opt = AdamState(lr=1e-3)
+    for step in range(2):
+        with Tape() as tape:
+            loss = teacher_forced_loss(pools, [3, 4, 5, 6], params, vocab,
+                                       1e-5, dropout_on=True, rng=rng)
+            tracemalloc.start()
+            try:
+                tape.backward(loss)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        opt.step(params.all())
+    assert peak < largest
