@@ -51,8 +51,8 @@ def _affine_activations(W, b, x):
 def check_rgp_cell(rng, instances=20):
     def build(rng):
         params = RgpParams.create(rng, SMALL_RGP, dtype=np.float64)
-        x = Tensor(rng.standard_normal((7, 7, SMALL_RGP.proj_channels)))
-        h0 = Tensor(rng.standard_normal((7, 7, SMALL_RGP.hidden)) * 0.5)
+        x = Tensor(rng.standard_normal((1, 7, 7, SMALL_RGP.proj_channels)))
+        h0 = Tensor(rng.standard_normal((1, 7, 7, SMALL_RGP.hidden)) * 0.5)
 
         def f():
             wx = T.conv2d(x, params.w_zrh, stride=1, pad=1)
@@ -62,62 +62,49 @@ def check_rgp_cell(rng, instances=20):
     return _worst(rng, instances, build)
 
 
-def _random_pools(rng):
-    """A 3-frame pool per channel."""
-    return {ch: Tensor(rng.standard_normal((3, SMALL_DECODER.feat)))
-            for ch in CHANNELS}
+def _decoder_check(scalar, n_targets):
+    """Check of scalar(logits, targets, params) for the logits of the span
+    [0, targets[0]], with params, 3-frame pools and then n_targets word
+    indices drawn in that order."""
+    def check(rng, instances=20):
+        def build(rng):
+            params = DecoderParams.create(rng, SMALL_DECODER,
+                                          dtype=np.float64)
+            pools = {ch: Tensor(rng.standard_normal((3, SMALL_DECODER.feat)))
+                     for ch in CHANNELS}
+            targets = [int(t) for t in rng.integers(
+                0, SMALL_DECODER.vocab_size, size=n_targets)]
 
+            def f():
+                state = DecoderState.initial(SMALL_DECODER, dtype=np.float64)
+                logits, _ = decode_step(state, attention_keys(pools, params),
+                                        [0, targets[0]], params)
+                return scalar(logits, targets, params)
 
-def check_decode_step(rng, instances=20):
-    def build(rng):
-        params = DecoderParams.create(rng, SMALL_DECODER, dtype=np.float64)
-        pools = _random_pools(rng)
-        words = [0, int(rng.integers(0, SMALL_DECODER.vocab_size))]
-
-        def f():
-            state = DecoderState.initial(SMALL_DECODER, dtype=np.float64)
-            logits, _ = decode_step(state, attention_keys(pools, params),
-                                    words, params)
-            return _scalarize(logits)
-
-        return f, params.all()
-    return _worst(rng, instances, build)
-
-
-def check_caption_loss(rng, instances=20):
-    """Two-word captions, with the l2 term at 1e-2."""
-    def build(rng):
-        params = DecoderParams.create(rng, SMALL_DECODER, dtype=np.float64)
-        pools = _random_pools(rng)
-        targets = [int(t) for t in
-                   rng.integers(0, SMALL_DECODER.vocab_size, size=2)]
-
-        def f():
-            state = DecoderState.initial(SMALL_DECODER, dtype=np.float64)
-            logits, _ = decode_step(state, attention_keys(pools, params),
-                                    [0] + targets[:-1], params)
-            # the l2 term covers weight matrices only, so the b_* biases
-            # keep gradient elements near 1e-7; grad_check's long double
-            # reference is what resolves them to 1e-4 relative error
-            return caption_loss(logits, targets, params, l2_coeff=1e-2)
-
-        return f, params.all()
-    return _worst(rng, instances, build)
+            return f, params.all()
+        return _worst(rng, instances, build)
+    return check
 
 
 CHECKS = {
     "conv2d": _op_check(lambda x, k: T.conv2d(x, k, stride=1, pad=1),
-                        (5, 5, 2), (3, 3, 2, 3)),
+                        (1, 5, 5, 2), (3, 3, 2, 3)),
     "conv_transpose2d": _op_check(
         lambda x, k: T.conv_transpose2d(x, k, stride=2, pad=1),
-        (3, 3, 2), (4, 4, 3, 2)),
-    "avg_pool2d": _op_check(lambda x: T.avg_pool2d(x, 3, 3, 2), (6, 6, 2)),
+        (1, 3, 3, 2), (4, 4, 3, 2)),
+    "avg_pool2d": _op_check(lambda x: T.avg_pool2d(x, 3, 3, 2),
+                            (1, 6, 6, 2)),
     "affine_activations": _op_check(_affine_activations, (4, 5), (4,), (5,)),
     "softmax": _op_check(T.softmax, (7,)),
     "log_softmax": _op_check(T.log_softmax, (7,)),
     "rgp_cell": check_rgp_cell,
-    "decode_step": check_decode_step,
-    "caption_loss": check_caption_loss,
+    "decode_step": _decoder_check(lambda logits, *_: _scalarize(logits), 1),
+    # the l2 term covers weight matrices only, so the b_* biases keep
+    # gradient elements near 1e-7; grad_check's long double reference is
+    # what resolves them to 1e-4 relative error
+    "caption_loss": _decoder_check(
+        lambda logits, targets, params: caption_loss(logits, targets, params,
+                                                     l2_coeff=1e-2), 2),
 }
 
 

@@ -82,7 +82,7 @@ def gru_update(wx, zr_rec, h_prev, candidate_rec):
 
 def rgp_cell_step(wx, h_prev, params):
     """One ConvGRU step given the input-side term wx = conv(x, w_zrh),
-    (7,7,3*hidden) for a projected frame x."""
+    (1,7,7,3*hidden) for a projected frame x."""
     return gru_update(wx, T.conv2d(h_prev, params.u_zr, stride=1, pad=1),
                       h_prev,
                       lambda rh: T.conv2d(rh, params.u_h, stride=1, pad=1))
@@ -91,7 +91,7 @@ def rgp_cell_step(wx, h_prev, params):
 def rgp_readout_scores(h, params):
     """Readout logits: three deconvs, a 1x1 conv, 8x8 average pool.
 
-    h: (7,7,hidden) or (N,7,7,hidden); returns (..., GRID**2) scores.
+    h: (N,7,7,hidden); returns (N, GRID**2) scores.
     The 1x1 conv r follows d3 with nothing in between, so it is contracted
     into d3's output channels: one (4,4,1,c2) kernel, one deconv.
     """
@@ -100,8 +100,7 @@ def rgp_readout_scores(h, params):
     k = T.tensor_sum(params.d3 * params.r, axis=2, keepdims=True)
     y = T.conv_transpose2d(y, k, stride=2, pad=1)
     y = T.avg_pool2d(y, 8, 8, stride=1)
-    lead = y.shape[:-3]
-    return T.reshape(y, lead + (GRID * GRID,))
+    return T.reshape(y, (y.shape[0], GRID * GRID))
 
 
 def rgp_forward_scores(features, params):
@@ -116,14 +115,13 @@ def rgp_forward_scores(features, params):
     n = x.shape[0]
     proj = T.conv2d(x, params.p_in)
     wx_all = T.conv2d(proj, params.w_zrh, stride=1, pad=1)
-    h = Tensor(np.zeros((FEATURE_GRID, FEATURE_GRID, params.config.hidden),
+    h = Tensor(np.zeros((1, FEATURE_GRID, FEATURE_GRID, params.config.hidden),
                         dtype=x.data.dtype))
     states = []
     for t in range(n):
-        wx = T.reshape(T.narrow(wx_all, 0, t, 1), wx_all.shape[1:])
-        h = rgp_cell_step(wx, h, params)
+        h = rgp_cell_step(T.narrow(wx_all, 0, t, 1), h, params)
         states.append(h)
-    return rgp_readout_scores(T.stack(states), params)
+    return rgp_readout_scores(T.concat(states), params)
 
 
 def predict_gaze(features, params):

@@ -25,7 +25,8 @@ class Tape:
     not added word by word: each product leaves (g, x) in that Parameter's
     pending list, and the sweep ends with one matrix product per Parameter,
     sum_k outer(g_k, x_k) = [g_1 .. g_K] @ [x_1 .. x_K]^T. Parameters are
-    leaves, so no backward step reads their grad before then.
+    leaves, so no backward step reads their grad before then. A node's grad
+    is dropped once its backward has run; leaves keep theirs.
     """
 
     def __init__(self):
@@ -53,6 +54,7 @@ class Tape:
             for node in reversed(self._nodes):
                 if node._grad is not None and node._backward is not None:
                     node._backward(node._grad)
+                    node._grad = None
             for param, pairs in self._pending.items():
                 if pairs:
                     gs, xs = zip(*pairs)
@@ -229,6 +231,12 @@ def _make(data, backward, requires_grad):
     return out
 
 
+def _unary(a, data, grad):
+    """Node of a one-input op: its backward adds grad(g) into a's grad. The
+    node is recorded only if a requires grad, so grad never needs to ask."""
+    return _make(data, lambda g: a.accumulate(grad(g)), a.requires_grad)
+
+
 def _add_product(t, a, b):
     """Add a @ b, reshaped to t's shape, into t's grad; a 2-D product of
     the dtype of a fresh grad is written into it, with no temporary."""
@@ -284,10 +292,15 @@ def mul(a, b):
 
 
 def matmul(a, b):
+    """a @ b for a right operand b of 1 or 2 dims. Every leading axis of a
+    is a row (a 1-D a is one row) and a 1-D b is one column, so each
+    operand's gradient is one 2-D product."""
     a = _as_tensor(a)
     b = _as_tensor(b, like=a)
-    if a.data.ndim == 0 or b.data.ndim == 0:
-        raise GeanError("matmul requires at least 1-D operands")
+    if a.data.ndim == 0 or b.data.ndim not in (1, 2):
+        raise GeanError("matmul requires a 1-D or 2-D right operand and an "
+                        "at least 1-D left one, got %s @ %s"
+                        % (a.shape, b.shape))
     try:
         data = a.data @ b.data
     except ValueError as e:
@@ -298,44 +311,26 @@ def matmul(a, b):
         pending = _TAPE_STACK[-1]._pending.setdefault(a, [])
 
     def backward(g):
-        ad, bd = a.data, b.data
-        if ad.ndim >= 2 and bd.ndim == 1:
-            if pending is not None:
-                pending.append((g, bd))
-            elif a.requires_grad:
-                a.accumulate(g[..., None] * bd)
-            if b.requires_grad:
-                b.accumulate(ad.reshape(-1, bd.size).T @ g.reshape(-1))
-        elif ad.ndim == 1 and bd.ndim == 2:
-            if a.requires_grad:
-                a.accumulate(bd @ g)
-            if b.requires_grad:
-                b.accumulate(np.outer(ad, g))
-        elif ad.ndim == 1 and bd.ndim == 1:
-            if a.requires_grad:
-                a.accumulate(g * bd)
-            if b.requires_grad:
-                b.accumulate(g * ad)
-        else:
-            if a.requires_grad:
-                _add_product(a, g, bd.swapaxes(-1, -2))
-            if b.requires_grad:
-                _add_product(b, ad.swapaxes(-1, -2), g)
+        rows = a.data.reshape(-1, a.shape[-1])
+        cols = b.data.reshape(b.shape[0], -1)
+        g2 = g.reshape(rows.shape[0], cols.shape[1])
+        if pending is not None:
+            pending.append((g, b.data))
+        elif a.requires_grad:
+            _add_product(a, g2, cols.T)
+        if b.requires_grad:
+            _add_product(b, rows.T, g2)
 
     return _make(data, backward, a.requires_grad or b.requires_grad)
 
 
 def tensor_sum(a, axis=None, keepdims=False):
     a = _as_tensor(a)
-    data = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def backward(g):
-        if a.requires_grad:
-            # a full sum's 0-d g broadcasts as it is, like a kept axis
-            ge = g if keepdims or axis is None else np.expand_dims(g, axis)
-            a.accumulate(np.broadcast_to(ge, a.shape))
-
-    return _make(data, backward, a.requires_grad)
+    # a full sum's 0-d g broadcasts as it is, like a kept axis
+    return _unary(a, a.data.sum(axis=axis, keepdims=keepdims),
+                  lambda g: np.broadcast_to(
+                      g if keepdims or axis is None
+                      else np.expand_dims(g, axis), a.shape))
 
 
 def sumsq(a):
@@ -347,7 +342,7 @@ def sumsq(a):
     def backward(g):
         if isinstance(a, Parameter):
             a.l2 += float(2 * g)
-        elif a.requires_grad:
+        else:
             a.accumulate((2 * g) * a.data)
 
     return _make(data, backward, a.requires_grad)
@@ -357,27 +352,14 @@ def reshape(a, *shape):
     a = _as_tensor(a)
     if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
         shape = tuple(shape[0])
-    old = a.shape
-    data = a.data.reshape(shape)
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate(g.reshape(old))
-
-    return _make(data, backward, a.requires_grad)
+    return _unary(a, a.data.reshape(shape), lambda g: g.reshape(a.shape))
 
 
 def transpose(a):
     a = _as_tensor(a)
     if a.ndim != 2:
         raise GeanError("transpose expects a 2-D tensor")
-    data = a.data.T
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate(g.T)
-
-    return _make(data, backward, a.requires_grad)
+    return _unary(a, a.data.T, lambda g: g.T)
 
 
 def concat(tensors, axis=0):
@@ -429,26 +411,14 @@ def narrow(a, axis, start, length):
     idx = [slice(None)] * a.ndim
     idx[axis] = slice(start, start + length)
     idx = tuple(idx)
-    data = a.data[idx]
-
-    def backward(g):
-        if a.requires_grad:
-            _scatter(a, idx, g)
-
-    return _make(data, backward, a.requires_grad)
+    return _make(a.data[idx], lambda g: _scatter(a, idx, g), a.requires_grad)
 
 
 def index(a, i):
     """Gather a[i]: i is an integer, an index array, or a tuple of index
     arrays, one per leading axis. Repeated indices sum their gradients."""
     a = _as_tensor(a)
-    data = a.data[i]
-
-    def backward(g):
-        if a.requires_grad:
-            _scatter(a, i, g)
-
-    return _make(data, backward, a.requires_grad)
+    return _make(a.data[i], lambda g: _scatter(a, i, g), a.requires_grad)
 
 
 def column(M, j):
@@ -457,13 +427,8 @@ def column(M, j):
     M = _as_tensor(M)
     if M.ndim != 2:
         raise GeanError("column expects a 2-D tensor")
-    data = M.data[:, j].copy()
-
-    def backward(g):
-        if M.requires_grad:
-            _scatter(M, (slice(None), j), g)
-
-    return _make(data, backward, M.requires_grad)
+    return _make(M.data[:, j].copy(),
+                 lambda g: _scatter(M, (slice(None), j), g), M.requires_grad)
 
 
 # ---------------------------------------------------------------------------
@@ -473,47 +438,26 @@ def column(M, j):
 def sigmoid(a):
     a = _as_tensor(a)
     data = 1.0 / (1.0 + np.exp(-a.data))
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate(g * data * (1.0 - data))
-
-    return _make(data, backward, a.requires_grad)
+    return _unary(a, data, lambda g: g * data * (1.0 - data))
 
 
 def tanh(a):
     a = _as_tensor(a)
     data = np.tanh(a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate(g * (1.0 - data * data))
-
-    return _make(data, backward, a.requires_grad)
+    return _unary(a, data, lambda g: g * (1.0 - data * data))
 
 
 def stanh(a):
     """Scaled hyperbolic tangent: 1.7159 * tanh(2x/3)."""
     a = _as_tensor(a)
     inner = np.tanh(a.data * (2.0 / 3.0))
-    data = 1.7159 * inner
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate(g * (1.7159 * 2.0 / 3.0) * (1.0 - inner * inner))
-
-    return _make(data, backward, a.requires_grad)
+    return _unary(a, 1.7159 * inner,
+                  lambda g: g * (1.7159 * 2.0 / 3.0) * (1.0 - inner * inner))
 
 
 def log(a):
     a = _as_tensor(a)
-    data = np.log(a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate(g / a.data)
-
-    return _make(data, backward, a.requires_grad)
+    return _unary(a, np.log(a.data), lambda g: g / a.data)
 
 
 def softmax(a, axis=-1):
@@ -524,13 +468,8 @@ def softmax(a, axis=-1):
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     data = e / e.sum(axis=axis, keepdims=True)
-
-    def backward(g):
-        if a.requires_grad:
-            dot = (g * data).sum(axis=axis, keepdims=True)
-            a.accumulate((g - dot) * data)
-
-    return _make(data, backward, a.requires_grad)
+    return _unary(a, data, lambda g: (
+        g - (g * data).sum(axis=axis, keepdims=True)) * data)
 
 
 def log_softmax(a, axis=-1):
@@ -540,12 +479,8 @@ def log_softmax(a, axis=-1):
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
     data = shifted - lse
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate(g - np.exp(data) * g.sum(axis=axis, keepdims=True))
-
-    return _make(data, backward, a.requires_grad)
+    return _unary(a, data, lambda g: (
+        g - np.exp(data) * g.sum(axis=axis, keepdims=True)))
 
 
 def dropout(a, rate, rng, on):
@@ -558,17 +493,15 @@ def dropout(a, rate, rng, on):
 
 
 # ---------------------------------------------------------------------------
-# Spatial ops (H x W x C layout, optional leading batch axis)
+# Spatial ops ((N,H,W,C) layout)
 # ---------------------------------------------------------------------------
 
-def _batched(x):
-    """View as (N,H,W,C); report whether a batch axis was added."""
-    if x.ndim == 3:
-        return x[None], True
-    if x.ndim == 4:
-        return x, False
-    raise GeanError("expected 3-D (H,W,C) or 4-D (N,H,W,C), got %s"
-                    % (x.shape,))
+def _nhwc(x, op):
+    """x's data, which must be 4-D (N,H,W,C)."""
+    if x.ndim != 4:
+        raise GeanError("%s expects a 4-D (N,H,W,C) input, got %s"
+                        % (op, x.shape))
+    return x.data
 
 
 def _im2col(xp, kh, kw, stride, ho, wo):
@@ -614,13 +547,13 @@ def _conv_data(xb, k, stride, pad):
 def conv2d(x, kernel, stride=1, pad=0):
     """2-D convolution (cross-correlation), zero padding.
 
-    x: (H,W,Cin) or (N,H,W,Cin); kernel: (kh,kw,Cin,Cout).
+    x: (N,H,W,Cin); kernel: (kh,kw,Cin,Cout).
     """
     x = _as_tensor(x)
     kernel = _as_tensor(kernel, like=x)
     if stride < 1:
         raise GeanError("stride must be >= 1")
-    xb, squeeze = _batched(x.data)
+    xb = _nhwc(x, "conv2d")
     kh, kw, cin, cout = kernel.shape
     n, h, w, cx = xb.shape
     if cx != cin:
@@ -639,24 +572,22 @@ def conv2d(x, kernel, stride=1, pad=0):
             gcols = gflat @ kernel.data.reshape(-1, cout).T
             gp = _col2im(gcols.reshape(n, ho, wo, kh, kw, cin),
                          h + 2 * pad, w + 2 * pad, stride)
-            gx = gp[:, pad:pad + h, pad:pad + w, :]
-            x.accumulate(gx[0] if squeeze else gx)
+            x.accumulate(gp[:, pad:pad + h, pad:pad + w, :])
 
-    data = out[0] if squeeze else out
-    return _make(data, backward, x.requires_grad or kernel.requires_grad)
+    return _make(out, backward, x.requires_grad or kernel.requires_grad)
 
 
 def conv_transpose2d(x, kernel, stride=1, pad=0):
     """Transposed convolution, the adjoint of conv2d.
 
-    x: (H,W,Cin) or (N,H,W,Cin); kernel: (kh,kw,Cout,Cin).
+    x: (N,H,W,Cin); kernel: (kh,kw,Cout,Cin).
     Output extent: (H-1)*stride + kh - 2*pad.
     """
     x = _as_tensor(x)
     kernel = _as_tensor(kernel, like=x)
     if stride < 1:
         raise GeanError("stride must be >= 1")
-    xb, squeeze = _batched(x.data)
+    xb = _nhwc(x, "conv_transpose2d")
     kh, kw, cout, cin = kernel.shape
     n, h, w, cx = xb.shape
     if cx != cin:
@@ -688,21 +619,19 @@ def conv_transpose2d(x, kernel, stride=1, pad=0):
 
     def backward(g):
         # conv2d with this kernel, read as (kh,kw,Cout,Cin), is the adjoint
-        gx, gcols = _conv_data(g.reshape(n, ho, wo, cout), kernel.data,
-                               stride, pad)
+        gx, gcols = _conv_data(g, kernel.data, stride, pad)
         if x.requires_grad:
-            x.accumulate(gx[0] if squeeze else gx)
+            x.accumulate(gx)
         if kernel.requires_grad:
             _add_product(kernel, gcols.T, xb.reshape(-1, cin))
 
-    data = out[0] if squeeze else out
-    return _make(data, backward, x.requires_grad or kernel.requires_grad)
+    return _make(out, backward, x.requires_grad or kernel.requires_grad)
 
 
 def avg_pool2d(x, kh, kw, stride):
-    """Average pooling over (kh,kw) windows; x: (H,W,C) or (N,H,W,C)."""
+    """Average pooling over (kh,kw) windows; x: (N,H,W,C)."""
     x = _as_tensor(x)
-    xb, squeeze = _batched(x.data)
+    xb = _nhwc(x, "avg_pool2d")
     n, h, w, c = xb.shape
     if kh > h or kw > w:
         raise GeanError("pooling window (%d,%d) larger than input (%d,%d)"
@@ -718,19 +647,16 @@ def avg_pool2d(x, kh, kw, stride):
     out = sum(rows[:, :, cs] for cs in col_slices) / (kh * kw)
 
     def backward(g):
-        gb = g.reshape(n, ho, wo, c) / (kh * kw)
+        gb = g / (kh * kw)
         grows = np.zeros((n, ho, w, c), dtype=g.dtype)
         for cs in col_slices:
             grows[:, :, cs] += gb
         gx = np.zeros((n, h, w, c), dtype=g.dtype)
         for rs in row_slices:
             gx[:, rs] += grows
-        if squeeze:
-            gx = gx[0]
         x.accumulate(gx)
 
-    data = out[0] if squeeze else out
-    return _make(data, backward, x.requires_grad)
+    return _make(out, backward, x.requires_grad)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ def small_params(seed=0, zero=False):
 
 
 def rgp_readout(h, params):
-    """49x49 gaze distribution from one hidden state map."""
+    """49x49 gaze distribution from one (1,7,7,hidden) state map."""
     return T.reshape(T.softmax(rgp_readout_scores(h, params)), (49, 49))
 
 
@@ -48,15 +48,15 @@ def rgp_loss(preds, gts, mask):
 
 def test_zero_params_zero_state():
     params = small_params(zero=True)
-    x = Tensor(np.random.default_rng(1).standard_normal((7, 7, 3)))
-    h = cell(x, Tensor(np.zeros((7, 7, 3))), params)
+    x = Tensor(np.random.default_rng(1).standard_normal((1, 7, 7, 3)))
+    h = cell(x, Tensor(np.zeros((1, 7, 7, 3))), params)
     np.testing.assert_array_equal(h.data, 0.0)
 
 
 def test_zero_params_halve_state():
     params = small_params(zero=True)
-    x = Tensor(np.random.default_rng(2).standard_normal((7, 7, 3)))
-    h_prev = np.random.default_rng(3).standard_normal((7, 7, 3))
+    x = Tensor(np.random.default_rng(2).standard_normal((1, 7, 7, 3)))
+    h_prev = np.random.default_rng(3).standard_normal((1, 7, 7, 3))
     h = cell(x, Tensor(h_prev), params)
     # gates sit at sigmoid(0)=0.5 and the candidate is tanh(0)=0
     np.testing.assert_allclose(h.data, 0.5 * h_prev, atol=1e-12)
@@ -79,9 +79,9 @@ def rel_err(a, b):
 def test_fused_cell_is_the_per_gate_conv_gru():
     params = small_params(12)
     rng = np.random.default_rng(13)
-    x = Parameter("x", rng.standard_normal((7, 7, 3)))
-    h_prev = Parameter("h", rng.standard_normal((7, 7, 3)))
-    c = Tensor(np.cos(np.arange(7 * 7 * 3)).reshape(7, 7, 3))
+    x = Parameter("x", rng.standard_normal((1, 7, 7, 3)))
+    h_prev = Parameter("h", rng.standard_normal((1, 7, 7, 3)))
+    c = Tensor(np.cos(np.arange(7 * 7 * 3)).reshape(1, 7, 7, 3))
     # the per-gate reference is fed the sliced blocks of the fused kernels
     split = lambda t, gates: {g: Parameter(g, block) for g, block in
                               zip(gates, np.split(t.data, len(gates), axis=3))}
@@ -146,15 +146,16 @@ def test_folded_readout_is_d3_then_r():
 
 def test_readout_uniform_for_zero_params():
     params = small_params(zero=True)
-    m = rgp_readout(Tensor(np.random.default_rng(4).standard_normal((7, 7, 3))),
-                    params)
+    m = rgp_readout(
+        Tensor(np.random.default_rng(4).standard_normal((1, 7, 7, 3))), params)
     np.testing.assert_allclose(m.data, 1.0 / 2401.0, atol=1e-12)
 
 
 def test_readout_distribution():
     params = small_params()
-    m = rgp_readout(Tensor(np.random.default_rng(5).standard_normal((7, 7, 3))),
-                    params).data
+    m = rgp_readout(
+        Tensor(np.random.default_rng(5).standard_normal((1, 7, 7, 3))),
+        params).data
     assert m.shape == (49, 49)
     assert m.sum() == pytest.approx(1.0, abs=1e-6)
     assert m.min() > 0.0
@@ -162,13 +163,13 @@ def test_readout_distribution():
 
 def test_readout_flip_equivariance():
     params = small_params(6)
-    h = np.random.default_rng(7).standard_normal((7, 7, 3))
+    h = np.random.default_rng(7).standard_normal((1, 7, 7, 3))
     m = rgp_readout(Tensor(h), params).data
     flipped = RgpParams.create(np.random.default_rng(0), SMALL,
                                dtype=np.float64)
     for name in RgpParams.NAMES:
         flipped.params[name].data = params.params[name].data[:, ::-1].copy()
-    m_flip = rgp_readout(Tensor(h[:, ::-1].copy()), flipped).data
+    m_flip = rgp_readout(Tensor(h[:, :, ::-1].copy()), flipped).data
     np.testing.assert_allclose(m_flip, m[:, ::-1], atol=1e-9)
 
 
@@ -189,8 +190,8 @@ def test_forward_single_frame_matches_manual():
     params = small_params(8)
     feat = np.random.default_rng(9).standard_normal((1, 7, 7, 4))
     auto = predict_gaze(feat, params)[0]
-    x = T.conv2d(Tensor(feat[0]), params.p_in)
-    h = cell(x, Tensor(np.zeros((7, 7, 3))), params)
+    x = T.conv2d(Tensor(feat), params.p_in)
+    h = cell(x, Tensor(np.zeros((1, 7, 7, 3))), params)
     manual = rgp_readout(h, params).data
     np.testing.assert_allclose(auto, manual, atol=1e-9)
 

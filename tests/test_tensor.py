@@ -18,23 +18,23 @@ from gean.tensor import Parameter, Tape, Tensor, grad_check
 
 def test_conv2d_identity_1x1():
     rng = np.random.default_rng(0)
-    x = Tensor(rng.standard_normal((5, 5, 3)))
+    x = Tensor(rng.standard_normal((1, 5, 5, 3)))
     k = Tensor(np.eye(3).reshape(1, 1, 3, 3))
     out = T.conv2d(x, k)
     np.testing.assert_allclose(out.data, x.data, rtol=0, atol=1e-12)
 
 
 def test_conv2d_constant_ones_kernel():
-    x = Tensor(np.ones((5, 5, 1)))
+    x = Tensor(np.ones((1, 5, 5, 1)))
     k = Tensor(np.ones((3, 3, 1, 1)))
     out = T.conv2d(x, k, stride=1, pad=0)
-    assert out.shape == (3, 3, 1)
+    assert out.shape == (1, 3, 3, 1)
     np.testing.assert_allclose(out.data, 9.0)
 
 
 def test_conv2d_zero_kernel():
     rng = np.random.default_rng(1)
-    x = Tensor(rng.standard_normal((4, 6, 2)))
+    x = Tensor(rng.standard_normal((1, 4, 6, 2)))
     k = Tensor(np.zeros((3, 3, 2, 5)))
     out = T.conv2d(x, k, stride=1, pad=1)
     np.testing.assert_array_equal(out.data, 0.0)
@@ -42,17 +42,19 @@ def test_conv2d_zero_kernel():
 
 def test_conv2d_channel_mismatch():
     with pytest.raises(GeanError, match="mismatch: input 2 vs kernel 3"):
-        T.conv2d(Tensor(np.ones((5, 5, 2))), Tensor(np.ones((3, 3, 3, 1))))
+        T.conv2d(Tensor(np.ones((1, 5, 5, 2))),
+                 Tensor(np.ones((3, 3, 3, 1))))
 
 
-def test_conv2d_batched_matches_loop():
-    rng = np.random.default_rng(2)
-    x = rng.standard_normal((4, 5, 5, 2))
-    k = Tensor(rng.standard_normal((3, 3, 2, 3)))
-    batched = T.conv2d(Tensor(x), k, stride=1, pad=1).data
-    for i in range(4):
-        single = T.conv2d(Tensor(x[i]), k, stride=1, pad=1).data
-        np.testing.assert_allclose(batched[i], single, atol=1e-12)
+@pytest.mark.parametrize("op, args", [
+    (T.conv2d, (Tensor(np.ones((3, 3, 2, 3))),)),
+    (T.conv_transpose2d, (Tensor(np.ones((4, 4, 3, 2))), 2, 1)),
+    (T.avg_pool2d, (3, 3, 2)),
+], ids=["conv2d", "conv_transpose2d", "avg_pool2d"])
+def test_spatial_ops_reject_3d_input(op, args):
+    with pytest.raises(GeanError, match=r"4-D \(N,H,W,C\) input, got "
+                                        r"\(6, 6, 2\)"):
+        op(Tensor(np.ones((6, 6, 2))), *args)
 
 
 # ---------------------------------------------------------------------------
@@ -60,16 +62,17 @@ def test_conv2d_batched_matches_loop():
 # ---------------------------------------------------------------------------
 
 def test_conv_transpose_single_pixel():
-    x = Tensor(np.ones((1, 1, 1)))
+    x = Tensor(np.ones((1, 1, 1, 1)))
     k = Tensor(np.ones((4, 4, 1, 1)))
     out = T.conv_transpose2d(x, k, stride=2, pad=1)
-    assert out.shape == (2, 2, 1)
+    assert out.shape == (1, 2, 2, 1)
     np.testing.assert_allclose(out.data, 1.0)
 
 
 def test_conv_transpose_zero_input():
     k = Tensor(np.random.default_rng(3).standard_normal((4, 4, 2, 3)))
-    out = T.conv_transpose2d(Tensor(np.zeros((3, 3, 3))), k, stride=2, pad=1)
+    out = T.conv_transpose2d(Tensor(np.zeros((1, 3, 3, 3))), k, stride=2,
+                             pad=1)
     np.testing.assert_array_equal(out.data, 0.0)
 
 
@@ -77,7 +80,7 @@ def test_conv_transpose_adjoint_identity():
     # <conv(x, k), y> == <x, conv_transpose(y, k)> with the same kernel array
     rng = np.random.default_rng(4)
     k = rng.standard_normal((4, 4, 3, 2))
-    x = rng.standard_normal((6, 6, 3))
+    x = rng.standard_normal((1, 6, 6, 3))
     y_shape = T.conv2d(Tensor(x), Tensor(k), stride=2, pad=1).shape
     y = rng.standard_normal(y_shape)
     lhs = float((T.conv2d(Tensor(x), Tensor(k), stride=2, pad=1).data
@@ -89,29 +92,26 @@ def test_conv_transpose_adjoint_identity():
 
 def test_conv_transpose_geometry_7_to_14():
     rng = np.random.default_rng(5)
-    x = Tensor(rng.standard_normal((7, 7, 3)))
+    x = Tensor(rng.standard_normal((1, 7, 7, 3)))
     k = Tensor(rng.standard_normal((4, 4, 2, 3)))
-    assert T.conv_transpose2d(x, k, stride=2, pad=1).shape == (14, 14, 2)
+    assert T.conv_transpose2d(x, k, stride=2, pad=1).shape == (1, 14, 14, 2)
 
 
 def _scatter_conv_transpose(x, k, stride, pad):
     """Reference: every input pixel adds its kernel-weighted window."""
-    squeeze = x.ndim == 3
-    xb = x[None] if squeeze else x
-    n, h, w, _ = xb.shape
+    n, h, w, _ = x.shape
     kh, kw, cout, _ = k.shape
     full = np.zeros((n, (h - 1) * stride + kh, (w - 1) * stride + kw, cout))
     for i in range(h):
         for j in range(w):
             full[:, i * stride:i * stride + kh, j * stride:j * stride + kw] \
-                += np.einsum("nc,abdc->nabd", xb[:, i, j], k)
-    out = full[:, pad:full.shape[1] - pad, pad:full.shape[2] - pad]
-    return out[0] if squeeze else out
+                += np.einsum("nc,abdc->nabd", x[:, i, j], k)
+    return full[:, pad:full.shape[1] - pad, pad:full.shape[2] - pad]
 
 
 @pytest.mark.parametrize("k, stride, pad", [(4, 2, 1), (3, 2, 0), (3, 1, 1),
                                              (5, 3, 2), (1, 1, 0)])
-@pytest.mark.parametrize("shape", [(5, 6, 3), (2, 4, 5, 3)])
+@pytest.mark.parametrize("shape", [(1, 5, 6, 3), (2, 4, 5, 3)])
 @pytest.mark.parametrize("dtype, rtol", [(np.float32, 1e-5),
                                          (np.float64, 1e-12)])
 def test_conv_transpose_matches_scatter_add(k, stride, pad, shape, dtype,
@@ -129,9 +129,9 @@ def test_conv_transpose_matches_scatter_add(k, stride, pad, shape, dtype,
 
 @pytest.mark.parametrize("op", [T.conv2d, T.conv_transpose2d])
 @pytest.mark.parametrize("shape, k, stride, pad", [
-    ((6, 6, 2), 3, 2, 0),  # the windows do not tile the input
-    ((5, 5, 2), 2, 2, 0),
-    ((5, 5, 2), 1, 1, 0),
+    ((1, 6, 6, 2), 3, 2, 0),  # the windows do not tile the input
+    ((1, 5, 5, 2), 2, 2, 0),
+    ((1, 5, 5, 2), 1, 1, 0),
     ((2, 7, 7, 2), 4, 3, 2),
 ], ids=["6x6-k3-s2", "5x5-k2-s2", "k1", "batched-k4-s3-p2"])
 def test_conv_grad_check_off_the_rgp_geometry(op, shape, k, stride, pad):
@@ -151,22 +151,22 @@ def test_conv_grad_check_off_the_rgp_geometry(op, shape, k, stride, pad):
 # ---------------------------------------------------------------------------
 
 def test_avg_pool_constant():
-    out = T.avg_pool2d(Tensor(np.full((6, 6, 2), 3.5)), 3, 3, 2)
+    out = T.avg_pool2d(Tensor(np.full((1, 6, 6, 2), 3.5)), 3, 3, 2)
     np.testing.assert_allclose(out.data, 3.5)
 
 
 def test_avg_pool_block_mass():
-    m = np.zeros((49, 49, 1))
-    m[:7, :7] = 1.0 / 49.0  # mass 1.0 in the top-left block
+    m = np.zeros((1, 49, 49, 1))
+    m[0, :7, :7] = 1.0 / 49.0  # mass 1.0 in the top-left block
     out = T.avg_pool2d(Tensor(m), 7, 7, 7)
-    assert out.shape == (7, 7, 1)
-    np.testing.assert_allclose(out.data[0, 0, 0], 1.0 / 49.0, atol=1e-12)
+    assert out.shape == (1, 7, 7, 1)
+    np.testing.assert_allclose(out.data[0, 0, 0, 0], 1.0 / 49.0, atol=1e-12)
     assert np.all(out.data.ravel()[1:] == 0.0)
 
 
 def test_avg_pool_2x2():
-    out = T.avg_pool2d(Tensor([[[1.0], [3.0]], [[5.0], [7.0]]]), 2, 2, 2)
-    np.testing.assert_allclose(out.data, [[[4.0]]])
+    out = T.avg_pool2d(Tensor([[[[1.0], [3.0]], [[5.0], [7.0]]]]), 2, 2, 2)
+    np.testing.assert_allclose(out.data, [[[[4.0]]]])
 
 
 @pytest.mark.parametrize("kh, kw, stride", [(8, 8, 1), (3, 3, 2), (7, 7, 7)])
@@ -402,6 +402,54 @@ def test_failed_backward_leaves_nothing_pending():
         sweep(tape, False)
     np.testing.assert_array_equal(P.grad, clean[0])
     np.testing.assert_array_equal(v.grad, clean[1])
+
+
+def test_matmul_stack_times_matrix_grads():
+    # the leading axes of a stack are rows: b's grad is rows^T @ g
+    rng = np.random.default_rng(24)
+    a = Parameter("a", rng.standard_normal((2, 3, 4)))
+    b = Parameter("b", rng.standard_normal((4, 5)))
+    g = rng.standard_normal((2, 3, 5))
+    with Tape() as tape:
+        tape.backward(T.tensor_sum(T.matmul(a, b) * Tensor(g)))
+    np.testing.assert_allclose(b.grad, a.data.reshape(-1, 4).T
+                               @ g.reshape(-1, 5), rtol=1e-13, atol=1e-13)
+    np.testing.assert_allclose(a.grad, g @ b.data.T, rtol=1e-13, atol=1e-13)
+
+
+def test_matmul_rejects_stacked_right_operand():
+    with pytest.raises(GeanError, match="1-D or 2-D right operand"):
+        T.matmul(Tensor(np.ones((3, 4))), Tensor(np.ones((2, 4, 5))))
+
+
+@pytest.mark.parametrize("op", [
+    T.sigmoid, T.tanh, T.stanh, T.softmax, T.log_softmax, T.transpose,
+    T.tensor_sum, lambda a: T.reshape(a, (-1,)), lambda a: T.index(a, 1),
+    lambda a: T.narrow(a, 0, 1, 2), lambda a: T.column(a, 2), T.sumsq,
+], ids=["sigmoid", "tanh", "stanh", "softmax", "log_softmax", "transpose",
+        "sum", "reshape", "index", "narrow", "column", "sumsq"])
+def test_one_input_op_without_grad_records_no_node(op):
+    # the backwards of one-input ops never ask whether their input needs
+    # grad: a node whose input needs none is never put on the tape
+    with Tape() as tape:
+        out = op(Tensor(np.ones((3, 4))))
+    assert tape._nodes == []
+    assert not out.requires_grad and out._backward is None
+
+
+def test_backward_frees_intermediate_grads():
+    rng = np.random.default_rng(25)
+    P = Parameter("P", rng.standard_normal((3, 4)))
+    x = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
+    with Tape() as tape:
+        h = T.tanh(T.matmul(P, x))
+        tape.backward(T.tensor_sum(h * h))
+    assert h.grad is None
+    expect = P.data.T @ (2 * h.data * (1 - h.data ** 2))
+    np.testing.assert_allclose(x.grad, expect, rtol=1e-13, atol=1e-13)
+    np.testing.assert_allclose(
+        P.grad, (2 * h.data * (1 - h.data ** 2)) @ x.data.T,
+        rtol=1e-13, atol=1e-13)
 
 
 def test_sumsq_value_and_gradient():
