@@ -133,7 +133,8 @@ def attention_keys(pools, params):
     """Per channel, (pool, pool @ Wq^T): the pool as a Tensor in the wq_*
     weight's dtype and the key term of temporal attention that no word
     changes, computed once per caption (Bahdanau et al., arXiv:1409.0473,
-    App. A.1.2); the tape sums its gradient over the words."""
+    App. A.1.2); the tape sums its gradient over the words. As
+    (Wq @ pool^T)^T, Wq's gradient is one product written into its grad."""
     p = params.params
     keys = {}
     for ch in CHANNELS:
@@ -143,7 +144,7 @@ def attention_keys(pools, params):
             # numpy pools (build_clip_pools gives float64) run in the
             # weights' dtype, so training and decoding compute alike
             pool = Tensor(pool, dtype=wq.data.dtype)
-        keys[ch] = (pool, T.matmul(pool, T.transpose(wq)))
+        keys[ch] = (pool, T.transpose(T.matmul(wq, T.transpose(pool))))
     return keys
 
 

@@ -21,17 +21,19 @@ _TAPE_STACK = []
 class Tape:
     """Ordered record of executed operations for one backward sweep.
 
-    Gradients of matrix @ vector products whose matrix is a Parameter are
-    not added word by word: each product leaves (g, x) in that Parameter's
-    pending list, and the sweep ends with one matrix product per Parameter,
-    sum_k outer(g_k, x_k) = [g_1 .. g_K] @ [x_1 .. x_K]^T. Parameters are
+    Two kinds of Parameter gradient are formed once, as one matrix product,
+    when the sweep ends. A matrix @ vector product leaves (g, x) under
+    (matrix, None): sum_k outer(g_k, x_k) = [g_1 .. g_K] @ [x_1 .. x_K]^T.
+    A conv2d leaves its input and output gradient (xb, g) under (kernel,
+    (stride, pad, H, W)): one im2col of the stacked inputs times the stacked
+    gradients, so no im2col matrix outlives the forward. Parameters are
     leaves, so no backward step reads their grad before then. A node's grad
     is dropped once its backward has run; leaves keep theirs.
     """
 
     def __init__(self):
         self._nodes = []
-        self._pending = {}  # Parameter -> [(g, x), ...]
+        self._pending = {}
 
     def __enter__(self):
         _TAPE_STACK.append(self)
@@ -55,10 +57,14 @@ class Tape:
                 if node._grad is not None and node._backward is not None:
                     node._backward(node._grad)
                     node._grad = None
-            for param, pairs in self._pending.items():
-                if pairs:
+            for (param, conv), pairs in self._pending.items():
+                if pairs and conv is None:
                     gs, xs = zip(*pairs)
                     _add_product(param, np.stack(gs, axis=1), np.stack(xs))
+                elif pairs:  # a kernel used once is not copied
+                    xb, g = (np.concatenate(a) if len(a) > 1 else a[0]
+                             for a in zip(*pairs))
+                    _add_kernel_grad(param, xb, g, *conv[:2])
         finally:
             for pairs in self._pending.values():
                 pairs.clear()
@@ -308,7 +314,7 @@ def matmul(a, b):
     pending = None  # W @ x with W a Parameter: summed when the sweep ends
     if (isinstance(a, Parameter) and a.requires_grad and a.data.ndim == 2
             and b.data.ndim == 1 and _recording()):
-        pending = _TAPE_STACK[-1]._pending.setdefault(a, [])
+        pending = _TAPE_STACK[-1]._pending.setdefault((a, None), [])
 
     def backward(g):
         rows = a.data.reshape(-1, a.shape[-1])
@@ -526,22 +532,34 @@ def _col2im(cols, hp, wp, stride):
     return out
 
 
-def _conv_data(xb, k, stride, pad):
-    """conv2d on arrays: (N,H,W,Cin) input and (kh,kw,Cin,Cout) kernel ->
-    the (N,ho,wo,Cout) output and the (N*ho*wo, kh*kw*Cin) im2col matrix
-    that the kernel gradient reads."""
-    kh, kw, cin, cout = k.shape
-    n, h, w, _ = xb.shape
+def _cols(xb, kh, kw, stride, pad):
+    """The (N*ho*wo, kh*kw*Cin) im2col matrix of an (N,H,W,Cin) input, and
+    the output extent (ho, wo)."""
+    n, h, w, cin = xb.shape
     ho = (h + 2 * pad - kh) // stride + 1
     wo = (w + 2 * pad - kw) // stride + 1
     if kh == 1 and kw == 1 and stride == 1 and pad == 0:
-        cols = xb.reshape(-1, cin)  # 1x1 conv is a plain channel matmul
-    else:
-        xp = np.zeros((n, h + 2 * pad, w + 2 * pad, cin), dtype=xb.dtype)
-        xp[:, pad:pad + h, pad:pad + w] = xb
-        cols = np.ascontiguousarray(_im2col(xp, kh, kw, stride, ho, wo))
-        cols = cols.reshape(n * ho * wo, kh * kw * cin)
-    return (cols @ k.reshape(-1, cout)).reshape(n, ho, wo, cout), cols
+        return xb.reshape(-1, cin), ho, wo  # 1x1 conv: a channel matmul
+    xp = np.zeros((n, h + 2 * pad, w + 2 * pad, cin), dtype=xb.dtype)
+    xp[:, pad:pad + h, pad:pad + w] = xb
+    cols = np.ascontiguousarray(_im2col(xp, kh, kw, stride, ho, wo))
+    return cols.reshape(n * ho * wo, kh * kw * cin), ho, wo
+
+
+def _conv_data(xb, k, stride, pad):
+    """conv2d on arrays: (N,H,W,Cin) input and (kh,kw,Cin,Cout) kernel ->
+    the (N,ho,wo,Cout) output and the im2col matrix of the input."""
+    kh, kw, _, cout = k.shape
+    cols, ho, wo = _cols(xb, kh, kw, stride, pad)
+    return ((cols @ k.reshape(-1, cout)).reshape(xb.shape[0], ho, wo, cout),
+            cols)
+
+
+def _add_kernel_grad(kernel, xb, g, stride, pad):
+    """Add conv2d's kernel gradient im2col(xb)^T @ g into kernel's grad."""
+    kh, kw, _, cout = kernel.shape
+    cols = _cols(xb, kh, kw, stride, pad)[0]
+    _add_product(kernel, cols.T, g.reshape(-1, cout))
 
 
 def conv2d(x, kernel, stride=1, pad=0):
@@ -561,15 +579,20 @@ def conv2d(x, kernel, stride=1, pad=0):
                         % (cx, cin))
     if kh > h + 2 * pad or kw > w + 2 * pad:
         raise GeanError("kernel larger than padded input")
-    out, cols = _conv_data(xb, kernel.data, stride, pad)
+    out = _conv_data(xb, kernel.data, stride, pad)[0]
     ho, wo = out.shape[1:3]
+    pending = None  # a Parameter kernel's gradient: formed when the sweep ends
+    if isinstance(kernel, Parameter) and kernel.requires_grad and _recording():
+        pending = _TAPE_STACK[-1]._pending.setdefault(
+            (kernel, (stride, pad, h, w)), [])
 
     def backward(g):
-        gflat = g.reshape(-1, cout)
-        if kernel.requires_grad:
-            _add_product(kernel, cols.T, gflat)
+        if pending is not None:
+            pending.append((xb, g))
+        elif kernel.requires_grad:
+            _add_kernel_grad(kernel, xb, g, stride, pad)
         if x.requires_grad:
-            gcols = gflat @ kernel.data.reshape(-1, cout).T
+            gcols = g.reshape(-1, cout) @ kernel.data.reshape(-1, cout).T
             gp = _col2im(gcols.reshape(n, ho, wo, kh, kw, cin),
                          h + 2 * pad, w + 2 * pad, stride)
             x.accumulate(gp[:, pad:pad + h, pad:pad + w, :])

@@ -334,16 +334,16 @@ def test_build_clip_pools_learned_requires_rgp():
 
 def _per_word_decode_step(state, word, pools, params, dropout_on=False,
                           rng=None):
-    """A one-word decode_step with pool @ Wq^T (and the pool's cast to the
-    weights' dtype) recomputed at every word: the reference for
-    attention_keys."""
+    """A one-word decode_step with the key term (Wq @ pool^T)^T (and the
+    pool's cast to the weights' dtype) recomputed at every word: the
+    reference for attention_keys."""
     keys = {}
     for ch in CHANNELS:
         wq = params.params["wq_%s" % ch]
         pool = pools[ch]
         if not isinstance(pool, Tensor):
             pool = Tensor(pool, dtype=wq.data.dtype)
-        keys[ch] = (pool, T.matmul(pool, T.transpose(wq)))
+        keys[ch] = (pool, T.transpose(T.matmul(wq, T.transpose(pool))))
     return decode_step(state, keys, [word], params, dropout_on, rng)
 
 

@@ -158,8 +158,8 @@ def test_blocked_adam_matches_whole_array_loop(dtype):
 
 @pytest.mark.parametrize("l2_coeff", [0.0, 1e-3])
 def test_blocked_adam_trains_decoder_like_whole_array_loop(l2_coeff):
-    # at l2 0 each wq_* grad is first written through a transpose, so it
-    # arrives F-ordered; a flat view of it would be a copy
+    # a real sweep's grads: written by products into Adam's zero fill,
+    # scattered into by gathers, added to, and at l2 > 0 given an l2 term
     cfg = DecoderConfig(vocab_size=6, embed=4, hidden=4, att=3, feat=5,
                         agg_splits=(2, 2, 3))
     vocab = Vocabulary(["a", "b", "c"])

@@ -1,15 +1,18 @@
 """Gaze-predictor tests: the convolutional GRU cell, deconvolutional
 readout, full forward pass, loss, and training loop."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from gean import tensor as T
+from gean.checks import SMALL_RGP
 from gean.errors import GeanError
 from gean.rgp import (RgpConfig, RgpParams, RgpTrainConfig, predict_gaze,
-                      rgp_cell_step, rgp_loss_from_scores, rgp_readout_scores,
-                      target_entropy, train_rgp)
-from gean.tensor import Parameter, Tape, Tensor
+                      rgp_cell_step, rgp_forward_scores, rgp_loss_from_scores,
+                      rgp_readout_scores, target_entropy, train_rgp)
+from gean.tensor import Parameter, Tape, Tensor, grad_check
 
 SMALL = RgpConfig(in_channels=4, proj_channels=3, hidden=3,
                   readout_channels=(3, 2, 2))
@@ -203,6 +206,45 @@ def test_forward_repeated_input_converges():
     maps = predict_gaze(feat, params)
     deltas = np.abs(np.diff(maps, axis=0)).sum(axis=(1, 2))
     assert deltas[48] <= 1e-3  # frame 50 vs 49
+
+
+def test_taped_forward_holds_no_im2col_matrix():
+    # proj 64 and hidden 4: w_zrh's input im2col, (8*49, 9*64) float64, is
+    # larger than every weight and activation of the forward, so a forward
+    # that kept it for the kernel gradient would reach its size
+    cfg = RgpConfig(in_channels=4, proj_channels=64, hidden=4,
+                    readout_channels=(3, 2, 2))
+    params = RgpParams.create(np.random.default_rng(14), cfg,
+                              dtype=np.float64)
+    n = 8
+    feats = Tensor(np.random.default_rng(15).standard_normal((n, 7, 7, 4)))
+    cols_bytes = n * 49 * 9 * cfg.proj_channels * 8
+    assert cols_bytes > max(p.data.nbytes for p in params.all())
+    assert cols_bytes > n * 56 * 56 * cfg.readout_channels[1] * 8
+    with Tape():
+        tracemalloc.start()
+        try:
+            scores = rgp_forward_scores(feats, params)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+    assert scores.shape == (n, 49 * 49)
+    assert held < cols_bytes
+
+
+def test_grad_check_over_three_frames():
+    # the rgp_cell check runs one step; here each recurrent kernel's
+    # gradient is a sum over frames
+    rng = np.random.default_rng(16)
+    params = RgpParams.create(rng, SMALL_RGP, dtype=np.float64)
+    feats = rng.standard_normal((3, 7, 7, SMALL_RGP.in_channels))
+    gts = rng.random((3, 49, 49))
+    gts /= gts.sum(axis=(1, 2), keepdims=True)
+    mask = np.ones(3, dtype=bool)
+    assert grad_check(
+        lambda: rgp_loss_from_scores(rgp_forward_scores(feats, params), gts,
+                                     mask),
+        [params.w_zrh, params.u_zr, params.u_h]) <= 1e-4
 
 
 def test_forward_rejects_empty():

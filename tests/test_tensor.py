@@ -8,6 +8,7 @@ from gean import tensor as T
 from gean.checks import SMALL_DECODER, SMALL_RGP
 from gean.decoder import DecoderParams
 from gean.errors import GeanError
+from gean.optim import AdamState
 from gean.rgp import RgpParams
 from gean.tensor import Parameter, Tape, Tensor, grad_check
 
@@ -144,6 +145,67 @@ def test_conv_grad_check_off_the_rgp_geometry(op, shape, k, stride, pad):
     assert grad_check(lambda: T.tensor_sum(op(x, kern, stride=stride,
                                                 pad=pad) * w),
                       [x, kern]) <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# conv2d kernel gradients, formed once when the sweep ends
+# ---------------------------------------------------------------------------
+
+def _windows(x, k, stride, pad):
+    """Reference im2col of (N,H,W,C) x: one row per output pixel, each a
+    k x k window read in (row, column, channel) order."""
+    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+    ho = (xp.shape[1] - k) // stride + 1
+    wo = (xp.shape[2] - k) // stride + 1
+    return np.array([xp[b, i * stride:i * stride + k,
+                        j * stride:j * stride + k].reshape(-1)
+                     for b in range(x.shape[0]) for i in range(ho)
+                     for j in range(wo)])
+
+
+def test_shared_kernel_gradient_is_one_write(monkeypatch):
+    rng = np.random.default_rng(40)
+    K = Parameter("K", rng.standard_normal((3, 3, 2, 4)))
+    AdamState(lr=0.0).step([K])  # zero-fills K's grad
+    held = K.grad
+    xs = [Tensor(rng.standard_normal((1, 5, 5, 2))) for _ in range(3)]
+    cs = [rng.standard_normal((1, 5, 5, 4)) for _ in range(3)]
+    added = []
+    plain = Tensor.accumulate
+
+    def spy(self, g):
+        added.append(self)
+        plain(self, g)
+
+    monkeypatch.setattr(Tensor, "accumulate", spy)
+    with Tape() as tape:
+        tape.backward(sum(T.tensor_sum(T.conv2d(x, K, stride=1, pad=1)
+                                       * Tensor(c)) for x, c in zip(xs, cs)))
+    assert K.grad is held and not any(t is K for t in added)
+    expect = sum(_windows(x.data, 3, 1, 1).T @ c.reshape(-1, 4)
+                 for x, c in zip(xs, cs))
+    np.testing.assert_allclose(K.grad, expect.reshape(K.shape), rtol=1e-13,
+                               atol=1e-13)
+
+
+def test_kernel_at_two_geometries_grad_check():
+    # stride 1 pad 1 on two input sizes and stride 2 on one: three groups
+    # that the sweep's end must not concatenate; tanh(K) is no Parameter,
+    # so its gradient is formed at once
+    rng = np.random.default_rng(41)
+    K = Parameter("K", rng.standard_normal((3, 3, 2, 3)))
+    x = Parameter("x", rng.standard_normal((1, 6, 6, 2)))
+    y = Tensor(rng.standard_normal((2, 5, 5, 2)))
+    calls = ((x, 1, 1), (y, 1, 1), (x, 2, 0), (y, 1, 1))
+    ws = [Tensor(rng.standard_normal(T.conv2d(a, K, stride=s, pad=p).shape))
+          for a, s, p in calls]
+
+    def loss():
+        return sum((T.tensor_sum(T.conv2d(a, K, stride=s, pad=p) * w)
+                    for (a, s, p), w in zip(calls, ws)),
+                   T.tensor_sum(T.conv2d(x, T.tanh(K), stride=1, pad=1)))
+
+    assert grad_check(loss, [K, x]) <= 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -376,9 +438,13 @@ def test_matvec_non_parameter_matrix_grad_check():
 
 
 def test_failed_backward_leaves_nothing_pending():
+    # the matrix @ vector products and the conv2d both run their backward
+    # before the failing node, so each has an entry pending when it raises
     rng = np.random.default_rng(22)
     P = Parameter("P", rng.standard_normal((3, 4)))
+    K = Parameter("K", rng.standard_normal((3, 3, 2, 2)))
     v = Parameter("v", rng.standard_normal(4))
+    img = rng.standard_normal((1, 4, 4, 2))
 
     def sweep(tape, fail):
         x = T.tanh(v)
@@ -386,22 +452,28 @@ def test_failed_backward_leaves_nothing_pending():
             def boom(g):
                 raise RuntimeError("backward failed")
             x._backward = boom
-        loss = T.tensor_sum(T.matmul(P, x)) + T.tensor_sum(T.matmul(P, v))
+        y = T.conv2d(T.tanh(T.reshape(T.tensor_sum(x), (1, 1, 1, 1)) * img),
+                     K, stride=1, pad=1)
+        loss = (T.tensor_sum(T.matmul(P, x)) + T.tensor_sum(T.matmul(P, v))
+                + T.tensor_sum(y))
         tape.backward(loss)
 
     with Tape() as tape:
         sweep(tape, False)
-    clean = (P.grad.copy(), v.grad.copy())
-    P.grad = v.grad = None
+    clean = (P.grad.copy(), K.grad.copy(), v.grad.copy())
+    P.grad = K.grad = v.grad = None
     with Tape() as tape:
         with pytest.raises(RuntimeError):
             sweep(tape, True)
-    assert P.grad is None
+    # the entries hold their products' inputs; none may outlive the sweep
+    assert not any(tape._pending.values())
+    assert P.grad is None and K.grad is None
     v.grad = None
     with Tape() as tape:
         sweep(tape, False)
     np.testing.assert_array_equal(P.grad, clean[0])
-    np.testing.assert_array_equal(v.grad, clean[1])
+    np.testing.assert_array_equal(K.grad, clean[1])
+    np.testing.assert_array_equal(v.grad, clean[2])
 
 
 def test_matmul_stack_times_matrix_grads():
