@@ -120,7 +120,7 @@ def _load_decoder(ckpt_path, meta_path):
 def cmd_make_synthetic(args):
     out = _out_dir(args)
     path = data.make_synthetic(out, n_clips=args.clips, n_frames=args.frames,
-                               seed=resolve_seed(args.seed))
+                               seed=args.seed)
     write_report(out / "make_synthetic.json",
                  {"manifest": path.name, "clips": args.clips,
                   "frames": args.frames})
@@ -131,10 +131,9 @@ def cmd_train_rgp(args):
     out = _out_dir(args)
     _, clips = data.load_dataset(args.manifest)
     train_clips = data.gaze_training_clips(clips)
-    cfg = rgp.RgpTrainConfig(lr=args.lr, steps=args.steps,
-                             seed=resolve_seed(args.seed),
-                             target_loss=args.target_loss)
-    params, history = rgp.train_rgp(train_clips, cfg)
+    params, history = rgp.train_rgp(train_clips, lr=args.lr, steps=args.steps,
+                                    seed=args.seed,
+                                    target_loss=args.target_loss)
     data.save_checkpoint(out / "rgp.ckpt", params.state_dict())
     write_report(out / "train_rgp.json", {
         "steps": len(history),
@@ -150,7 +149,7 @@ def cmd_predict_gaze(args):
     _, clips = data.load_dataset(args.manifest)
     index = {}
     for clip in clips:
-        maps = rgp.predict_gaze(clip["motion"].astype(np.float32), params)
+        maps = rgp.predict_gaze(clip["motion"], params)
         rel = "%s_gaze.bin" % clip["id"]
         data.write_feature_file(out / rel, maps.astype(np.float64))
         index[clip["id"]] = rel
@@ -162,15 +161,11 @@ def cmd_train_captioner(args):
     out = _out_dir(args)
     _, clips = data.load_dataset(args.manifest)
     rgp_params = _load_rgp(args.rgp) if args.rgp else None
-    cfg = decoder.CaptionTrainConfig(lr=args.lr, steps=args.steps,
-                                     seed=resolve_seed(args.seed),
-                                     l2_coeff=args.l2, max_len=args.max_len,
-                                     lam=args.lam, gaze=args.gaze)
-    params, vocab, history = decoder.train_captioner(clips, rgp_params, cfg)
+    params, vocab, history = decoder.train_captioner(
+        clips, rgp_params, lr=args.lr, steps=args.steps, seed=args.seed,
+        l2_coeff=args.l2, max_len=args.max_len, lam=args.lam, gaze=args.gaze)
     data.save_checkpoint(out / "decoder.ckpt", params.state_dict())
-    with open(out / "decoder_meta.json", "w", encoding="utf-8") as f:
-        json.dump({"words": vocab.words[3:]}, f, sort_keys=True)
-        f.write("\n")
+    write_report(out / "decoder_meta.json", {"words": vocab.words[3:]})
     write_report(out / "train_captioner.json",
                  {"steps": len(history), "final_loss": history[-1],
                   "gaze": args.gaze})
@@ -182,12 +177,11 @@ def cmd_caption(args):
     _, clips = data.load_dataset(args.manifest)
     params, vocab = _load_decoder(args.decoder, args.decoder_meta)
     rgp_params = _load_rgp(args.rgp) if args.rgp else None
-    seed = resolve_seed(args.seed)
     captions = {}
     for i, clip in enumerate(clips):
         pools = decoder.build_clip_pools(
             clip["scene"], clip["motion"], clip["fovea"], rgp_params,
-            args.gaze, args.lam, seed=seed + i)
+            args.gaze, args.lam, seed=args.seed + i)
         ids = decoder.decode_greedy(pools, params, vocab, args.max_len)
         captions[clip["id"]] = " ".join(vocab.decode(ids))
     write_report(out / "captions.json", captions)
@@ -202,21 +196,17 @@ def cmd_eval_gaze(args):
             and all(type(v) is int and v > 0 for v in frame_size)):
         raise GeanError("manifest %s: 'frame_size' is missing or not 2 "
                         "positive integers" % args.manifest)
-    frame_size = tuple(frame_size)
-    for clip in clips:
-        clip["frame_size"] = frame_size
     if args.copy_gt:
         predictor = "copy-gt"
     else:
         if not args.rgp:
             raise _UsageError("eval-gaze requires --rgp or --copy-gt")
         params = _load_rgp(args.rgp)
-        predictor = lambda clip: rgp.predict_gaze(
-            clip["motion"].astype(np.float32), params)
-    table = metrics.eval_protocol(clips, predictor,
+        predictor = lambda clip: rgp.predict_gaze(clip["motion"], params)
+    table = metrics.eval_protocol(clips, predictor, frame_size,
                                   n_sets=args.protocol_sets,
                                   set_size=args.protocol_frames,
-                                  seed=resolve_seed(args.seed))
+                                  seed=args.seed)
     write_report(out / "eval_gaze.json", table)
     return 0
 
@@ -246,8 +236,7 @@ def cmd_eval_captions(args):
 def cmd_gradcheck(args):
     from .checks import gradient_report
     out = _out_dir(args)
-    report = gradient_report(seed=resolve_seed(args.seed),
-                             instances=args.instances)
+    report = gradient_report(seed=args.seed, instances=args.instances)
     write_report(out / "gradcheck.json", report)
     worst = max(v for v in report.values())
     return 0 if worst <= 1e-4 else 2
@@ -356,6 +345,7 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        args.seed = resolve_seed(args.seed)
         return args.func(args)
     except _UsageError as e:
         print(str(e), file=sys.stderr)

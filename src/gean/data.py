@@ -197,10 +197,15 @@ def load_dataset(manifest_path):
         out["fixations"] = {}
         rel = _field(clip, "fixations", str, where, optional=True)
         if rel:
-            if not (root / rel).exists():
+            csv_path = root / rel
+            if not csv_path.exists():
                 raise GeanError("%s: fixation file %s missing"
-                                % (where, root / rel))
-            out["fixations"] = read_fixations(root / rel)
+                                % (where, csv_path))
+            out["fixations"] = read_fixations(csv_path)
+            last = max(out["fixations"], default=0)
+            if last >= n:
+                raise GeanError("%s: fixation frame %d is not below the "
+                                "clip's n_frames %d" % (csv_path, last, n))
         clips.append(out)
     return manifest, clips
 
@@ -213,7 +218,7 @@ def gaze_training_clips(clips):
         targets = np.zeros((n, GRID, GRID))
         mask = np.zeros(n, dtype=bool)
         for fi, recs in clip["fixations"].items():
-            if recs and fi < n:
+            if recs:
                 targets[fi] = make_training_target(recs)
                 mask[fi] = True
         out.append({"id": clip["id"], "motion": clip["motion"],

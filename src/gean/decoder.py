@@ -10,8 +10,7 @@ import numpy as np
 from . import tensor as T
 from .data import FEATURE_DIM
 from .errors import GeanError
-from .optim import (AdamState, finite_loss, init_orthogonal, init_xavier,
-                    resolve_seed)
+from .optim import AdamState, finite_loss, init_orthogonal, init_xavier
 from .pools import (DEFAULT_LAMBDA, POOL_FOVEA, POOL_MOTION, POOL_SCENE,
                     attend_features, build_pool, fixed_gaze, spatial_attention)
 from .rgp import gru_update, predict_gaze
@@ -36,17 +35,6 @@ class DecoderConfig:
     @property
     def agg_dim(self):
         return sum(self.agg_splits)
-
-
-@dataclass
-class CaptionTrainConfig:
-    lr: float = 1e-4
-    steps: int = 5000
-    seed: int = None
-    l2_coeff: float = 1e-5
-    max_len: int = MAX_LEN
-    lam: float = DEFAULT_LAMBDA
-    gaze: str = "learned"
 
 
 class DecoderParams(ParameterSet):
@@ -283,7 +271,7 @@ def build_clip_pools(scene, motion, fovea, rgp_params=None, gaze="learned",
     if gaze == "learned":
         if rgp_params is None:
             raise GeanError("learned gaze requires RGP parameters")
-        maps = predict_gaze(np.asarray(motion, dtype=np.float32), rgp_params)
+        maps = predict_gaze(motion, rgp_params)
         alphas = [spatial_attention(m, lam) for m in maps]
     else:
         alpha = fixed_gaze(gaze, seed=seed)
@@ -297,15 +285,14 @@ def build_clip_pools(scene, motion, fovea, rgp_params=None, gaze="learned",
     }
 
 
-def train_captioner(dataset, rgp_params, config=None):
+def train_captioner(dataset, rgp_params, *, lr, steps, seed, l2_coeff,
+                    max_len, lam, gaze):
     """Train the decoder on (pools, caption) pairs with the gaze model
     frozen. Returns (params, vocab, loss history)."""
-    cfg = config or CaptionTrainConfig()
     if not dataset:
         raise GeanError("empty dataset")
-    if cfg.gaze == "learned" and rgp_params is None:
+    if gaze == "learned" and rgp_params is None:
         raise GeanError("no RGP checkpoint supplied for learned gaze")
-    seed = resolve_seed(cfg.seed)
     rng = np.random.default_rng(seed)
 
     vocab = build_vocab([c for clip in dataset for c in clip["captions"]])
@@ -315,26 +302,25 @@ def train_captioner(dataset, rgp_params, config=None):
     clip_refs = []
     for i, clip in enumerate(dataset):
         pools = build_clip_pools(clip["scene"], clip["motion"], clip["fovea"],
-                                 rgp_params, cfg.gaze, cfg.lam,
-                                 seed=seed + i)
+                                 rgp_params, gaze, lam, seed=seed + i)
         refs = [vocab.encode(tokenize(c)) for c in clip["captions"]]
         clip_refs.append((pools, refs))
         for ids in refs:
             pairs.append((pools, ids))
 
-    opt = AdamState(lr=cfg.lr)
+    opt = AdamState(lr=lr)
     history = []
-    for step in range(cfg.steps):
+    for step in range(steps):
         pools, ids = pairs[step % len(pairs)]
         with Tape() as tape:
-            loss = teacher_forced_loss(pools, ids, params, vocab,
-                                       cfg.l2_coeff, dropout_on=True,
-                                       rng=rng, max_len=cfg.max_len)
+            loss = teacher_forced_loss(pools, ids, params, vocab, l2_coeff,
+                                       dropout_on=True, rng=rng,
+                                       max_len=max_len)
             tape.backward(loss)
         history.append(finite_loss(loss, step))
         opt.step(params.all())
         if (step + 1) % EVAL_EVERY == 0:
-            if all(decode_greedy(pools, params, vocab, cfg.max_len) in refs
+            if all(decode_greedy(pools, params, vocab, max_len) in refs
                    for pools, refs in clip_refs):
                 break
     return params, vocab, history

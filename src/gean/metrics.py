@@ -88,18 +88,20 @@ def sauc(saliency, fixations, shuffle_pool, n_splits=10, seed=0):
     return float(np.mean(np.trapezoid(_tpr(pos, thresholds), fpr, axis=-1)))
 
 
-def eval_protocol(clips, predictor, n_sets=10, set_size=3000, seed=0):
+def eval_protocol(clips, predictor, frame_size, n_sets=10, set_size=3000,
+                  seed=0):
     """Sampled gaze-evaluation protocol.
 
     Draws `n_sets` uniform random sets of `set_size` eligible frames,
-    scores Sim/CC/sAUC/AUC per frame on full-resolution eval pairs, and
-    averages within each set, then across sets.
+    scores Sim/CC/sAUC/AUC per frame on full-resolution (H, W) =
+    `frame_size` eval pairs, and averages within each set, then across sets.
 
     clips: records with 'fixations' (frame -> fixation list), 'n_frames',
-    'frame_size' (H, W), and whatever `predictor(clip)` needs to return a
-    (N, 49, 49) gaze-map array. predictor="copy-gt" scores the GT map
-    against itself (identity upper bound).
+    and whatever `predictor(clip)` needs to return a (N, 49, 49) gaze-map
+    array. predictor="copy-gt" scores the GT map against itself (identity
+    upper bound).
     """
+    h, w = frame_size
     copy_gt = predictor == "copy-gt"
     if copy_gt:
         preds = [np.zeros((clip["n_frames"], GRID, GRID)) for clip in clips]
@@ -108,7 +110,6 @@ def eval_protocol(clips, predictor, n_sets=10, set_size=3000, seed=0):
     frames = []
     pools = []
     for ci, clip in enumerate(clips):
-        h, w = clip["frame_size"]
         pixels = []
         for fi in range(preds[ci].shape[0]):
             fx = clip["fixations"].get(fi, [])
@@ -129,9 +130,7 @@ def eval_protocol(clips, predictor, n_sets=10, set_size=3000, seed=0):
         for k in chosen:
             ci, fi = frames[k]
             if (ci, fi) not in cache:
-                clip = clips[ci]
-                h, w = clip["frame_size"]
-                fx = clip["fixations"][fi]
+                fx = clips[ci]["fixations"][fi]
                 gt_eval = gt_eval_map(fx, h, w)
                 pred_eval = gt_eval if copy_gt else pred_eval_map(
                     preds[ci][fi], h, w)

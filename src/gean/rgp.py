@@ -10,7 +10,7 @@ from . import tensor as T
 from .data import FEATURE_DIM, FEATURE_GRID
 from .errors import GeanError
 from .gaze import GRID, mirror_augment
-from .optim import AdamState, finite_loss, init_xavier, resolve_seed
+from .optim import AdamState, finite_loss, init_xavier
 from .tensor import Parameter, ParameterSet, Tape, Tensor, no_grad
 
 MIRROR_PROB = 0.5  # chance that a training step flips its clip left-right
@@ -22,14 +22,6 @@ class RgpConfig:
     proj_channels: int = 512
     hidden: int = 128
     readout_channels: tuple = (64, 32, 16)
-
-
-@dataclass
-class RgpTrainConfig:
-    lr: float = 1e-4
-    steps: int = 2000
-    seed: int = None
-    target_loss: float = None  # stop early once reached
 
 
 class RgpParams(ParameterSet):
@@ -107,9 +99,11 @@ def rgp_forward_scores(features, params):
     """Per-frame readout logits (N, GRID**2) for a clip.
 
     Input-side convolutions are batched over frames; the recurrence and
-    readout follow.
+    readout follow. Features that are not a Tensor are cast to the
+    weights' dtype.
     """
-    x = features if isinstance(features, Tensor) else Tensor(features)
+    x = (features if isinstance(features, Tensor)
+         else Tensor(features, dtype=params.p_in.data.dtype))
     if x.ndim != 4 or x.shape[0] < 1:
         raise GeanError("expected a non-empty (N,7,7,C) feature sequence")
     n = x.shape[0]
@@ -168,29 +162,30 @@ def target_entropy(dataset):
     return total / count
 
 
-def train_rgp(dataset, config=None, model_config=None):
+def train_rgp(dataset, *, lr, steps, seed, target_loss, model_config=None):
     """Fit the gaze predictor with Adam; one clip per step, optional
-    horizontal-mirroring augmentation. Returns (params, loss history)."""
-    cfg = config or RgpTrainConfig()
+    horizontal-mirroring augmentation. A `target_loss` that is not None
+    stops training once a pass over the dataset averages at most it.
+    Returns (params, loss history)."""
     if not dataset:
         raise GeanError("empty dataset")
-    rng = np.random.default_rng(resolve_seed(cfg.seed))
+    rng = np.random.default_rng(seed)
     params = RgpParams.create(rng, model_config)
-    opt = AdamState(lr=cfg.lr)
+    opt = AdamState(lr=lr)
     history = []
-    for step in range(cfg.steps):
+    for step in range(steps):
         clip = dataset[step % len(dataset)]
         feats, gts = clip["motion"], clip["targets"]
         if rng.random() < MIRROR_PROB:
             feats, gts = mirror_augment(feats, gts)
         with Tape() as tape:
-            scores = rgp_forward_scores(feats.astype(np.float32), params)
+            scores = rgp_forward_scores(feats, params)
             loss = rgp_loss_from_scores(scores, gts, clip["mask"])
             tape.backward(loss)
         history.append(finite_loss(loss, step))
         opt.step(params.all())
-        if cfg.target_loss is not None and step % len(dataset) == len(dataset) - 1:
+        if target_loss is not None and step % len(dataset) == len(dataset) - 1:
             recent = history[-len(dataset):]
-            if sum(recent) / len(recent) <= cfg.target_loss:
+            if sum(recent) / len(recent) <= target_loss:
                 break
     return params, history

@@ -21,14 +21,15 @@ _TAPE_STACK = []
 class Tape:
     """Ordered record of executed operations for one backward sweep.
 
-    Two kinds of Parameter gradient are formed once, as one matrix product,
-    when the sweep ends. A matrix @ vector product leaves (g, x) under
-    (matrix, None): sum_k outer(g_k, x_k) = [g_1 .. g_K] @ [x_1 .. x_K]^T.
-    A conv2d leaves its input and output gradient (xb, g) under (kernel,
-    (stride, pad, H, W)): one im2col of the stacked inputs times the stacked
-    gradients, so no im2col matrix outlives the forward. Parameters are
-    leaves, so no backward step reads their grad before then. A node's grad
-    is dropped once its backward has run; leaves keep theirs.
+    Some Parameter gradients are formed once, as one matrix product
+    A^T @ B of the stacked entries (a, b) left in `_pending`, when the sweep
+    ends. A matrix @ vector product leaves (g[None], x[None]) under (matrix,
+    None): sum_k outer(g_k, x_k). A conv2d leaves its input and output
+    gradient (xb, g) under (kernel, (stride, pad, H, W)), and the stacked
+    inputs are im2col'd at the flush, so no im2col matrix outlives the
+    forward. Parameters are leaves, so no backward step reads their grad
+    before then. A node's grad is dropped once its backward has run; leaves
+    keep theirs.
     """
 
     def __init__(self):
@@ -58,13 +59,12 @@ class Tape:
                     node._backward(node._grad)
                     node._grad = None
             for (param, conv), pairs in self._pending.items():
-                if pairs and conv is None:
-                    gs, xs = zip(*pairs)
-                    _add_product(param, np.stack(gs, axis=1), np.stack(xs))
-                elif pairs:  # a kernel used once is not copied
-                    xb, g = (np.concatenate(a) if len(a) > 1 else a[0]
-                             for a in zip(*pairs))
-                    _add_kernel_grad(param, xb, g, *conv[:2])
+                if pairs:  # an entry used once is not copied
+                    a, b = (np.concatenate(e) if len(e) > 1 else e[0]
+                            for e in zip(*pairs))
+                    if conv is not None:
+                        a = _cols(a, *param.shape[:2], *conv[:2])[0]
+                    _add_product(param, a.T, b.reshape(a.shape[0], -1))
         finally:
             for pairs in self._pending.values():
                 pairs.clear()
@@ -321,7 +321,7 @@ def matmul(a, b):
         cols = b.data.reshape(b.shape[0], -1)
         g2 = g.reshape(rows.shape[0], cols.shape[1])
         if pending is not None:
-            pending.append((g, b.data))
+            pending.append((g[None], b.data[None]))
         elif a.requires_grad:
             _add_product(a, g2, cols.T)
         if b.requires_grad:
@@ -510,13 +510,18 @@ def _nhwc(x, op):
     return x.data
 
 
-def _im2col(xp, kh, kw, stride, ho, wo):
-    """Window view of padded (N,Hp,Wp,C) -> (N,ho,wo,kh,kw,C)."""
-    n, hp, wp, c = xp.shape
-    sn, sh, sw, sc = xp.strides
-    shape = (n, ho, wo, kh, kw, c)
-    strides = (sn, sh * stride, sw * stride, sh, sw, sc)
-    return as_strided(xp, shape=shape, strides=strides)
+def _conv_args(op, x, kernel, stride, cin_axis):
+    """x and kernel as Tensors and x's (N,H,W,C) data, checked: stride >= 1
+    and x's channels equal the kernel's input channels (axis cin_axis)."""
+    x = _as_tensor(x)
+    kernel = _as_tensor(kernel, like=x)
+    if stride < 1:
+        raise GeanError("stride must be >= 1")
+    xb = _nhwc(x, op)
+    if xb.shape[3] != kernel.shape[cin_axis]:
+        raise GeanError("%s channel mismatch: input %d vs kernel %d"
+                        % (op, xb.shape[3], kernel.shape[cin_axis]))
+    return x, kernel, xb
 
 
 def _col2im(cols, hp, wp, stride):
@@ -542,8 +547,10 @@ def _cols(xb, kh, kw, stride, pad):
         return xb.reshape(-1, cin), ho, wo  # 1x1 conv: a channel matmul
     xp = np.zeros((n, h + 2 * pad, w + 2 * pad, cin), dtype=xb.dtype)
     xp[:, pad:pad + h, pad:pad + w] = xb
-    cols = np.ascontiguousarray(_im2col(xp, kh, kw, stride, ho, wo))
-    return cols.reshape(n * ho * wo, kh * kw * cin), ho, wo
+    sn, sh, sw, sc = xp.strides
+    windows = as_strided(xp, shape=(n, ho, wo, kh, kw, cin),
+                         strides=(sn, sh * stride, sw * stride, sh, sw, sc))
+    return np.ascontiguousarray(windows).reshape(n * ho * wo, -1), ho, wo
 
 
 def _conv_data(xb, k, stride, pad):
@@ -555,28 +562,14 @@ def _conv_data(xb, k, stride, pad):
             cols)
 
 
-def _add_kernel_grad(kernel, xb, g, stride, pad):
-    """Add conv2d's kernel gradient im2col(xb)^T @ g into kernel's grad."""
-    kh, kw, _, cout = kernel.shape
-    cols = _cols(xb, kh, kw, stride, pad)[0]
-    _add_product(kernel, cols.T, g.reshape(-1, cout))
-
-
 def conv2d(x, kernel, stride=1, pad=0):
     """2-D convolution (cross-correlation), zero padding.
 
     x: (N,H,W,Cin); kernel: (kh,kw,Cin,Cout).
     """
-    x = _as_tensor(x)
-    kernel = _as_tensor(kernel, like=x)
-    if stride < 1:
-        raise GeanError("stride must be >= 1")
-    xb = _nhwc(x, "conv2d")
+    x, kernel, xb = _conv_args("conv2d", x, kernel, stride, 2)
     kh, kw, cin, cout = kernel.shape
-    n, h, w, cx = xb.shape
-    if cx != cin:
-        raise GeanError("conv2d channel mismatch: input %d vs kernel %d"
-                        % (cx, cin))
+    n, h, w, _ = xb.shape
     if kh > h + 2 * pad or kw > w + 2 * pad:
         raise GeanError("kernel larger than padded input")
     out = _conv_data(xb, kernel.data, stride, pad)[0]
@@ -590,7 +583,8 @@ def conv2d(x, kernel, stride=1, pad=0):
         if pending is not None:
             pending.append((xb, g))
         elif kernel.requires_grad:
-            _add_kernel_grad(kernel, xb, g, stride, pad)
+            _add_product(kernel, _cols(xb, kh, kw, stride, pad)[0].T,
+                         g.reshape(-1, cout))
         if x.requires_grad:
             gcols = g.reshape(-1, cout) @ kernel.data.reshape(-1, cout).T
             gp = _col2im(gcols.reshape(n, ho, wo, kh, kw, cin),
@@ -606,38 +600,29 @@ def conv_transpose2d(x, kernel, stride=1, pad=0):
     x: (N,H,W,Cin); kernel: (kh,kw,Cout,Cin).
     Output extent: (H-1)*stride + kh - 2*pad.
     """
-    x = _as_tensor(x)
-    kernel = _as_tensor(kernel, like=x)
-    if stride < 1:
-        raise GeanError("stride must be >= 1")
-    xb = _nhwc(x, "conv_transpose2d")
+    x, kernel, xb = _conv_args("conv_transpose2d", x, kernel, stride, 3)
     kh, kw, cout, cin = kernel.shape
-    n, h, w, cx = xb.shape
-    if cx != cin:
-        raise GeanError("conv_transpose2d channel mismatch: input %d vs "
-                        "kernel %d" % (cx, cin))
+    n, h, w, _ = xb.shape
     ho = (h - 1) * stride + kh - 2 * pad
     wo = (w - 1) * stride + kw - 2 * pad
     if ho <= 0 or wo <= 0:
         raise GeanError("non-positive output extent (%d, %d)" % (ho, wo))
 
     # Sub-pixel form. Output row q*s + r sums x[q - a] * K[a*s + r] over
-    # a < A = ceil(kh/s), with K zero-padded to A*s rows (columns alike).
-    # That is a stride-1 A x A correlation of x, padded by A - 1, with the
-    # tap-flipped kernel, one s*s*cout column block per output phase (r, c);
-    # interleaving the phases and cropping pad gives the output.
+    # a < A = ceil(max(kh, kw)/s), with K zero-padded to A*s rows and
+    # columns. That is conv2d's kernel at stride 1, padded by A - 1, with
+    # the tap-flipped A x A kernel, one s*s*cout column block per output
+    # phase (r, c); interleaving the phases and cropping pad gives the output.
     s = stride
-    ah, aw = -(-kh // s), -(-kw // s)
-    qh, qw = h + ah - 1, w + aw - 1
-    kp = np.pad(kernel.data, ((0, ah * s - kh), (0, aw * s - kw),
+    a = -(-max(kh, kw) // s)
+    kp = np.pad(kernel.data, ((0, a * s - kh), (0, a * s - kw),
                               (0, 0), (0, 0)))
-    kp = kp.reshape(ah, s, aw, s, cout, cin)[::-1, :, ::-1]
-    ksub = kp.transpose(0, 2, 5, 1, 3, 4).reshape(ah * aw * cin, s * s * cout)
-    xp = np.pad(xb, ((0, 0), (ah - 1, ah - 1), (aw - 1, aw - 1), (0, 0)))
-    cols = np.ascontiguousarray(_im2col(xp, ah, aw, 1, qh, qw))
-    phases = (cols.reshape(n * qh * qw, -1) @ ksub).reshape(n, qh, qw, s, s,
-                                                             cout)
-    full = phases.transpose(0, 1, 3, 2, 4, 5).reshape(n, qh * s, qw * s, cout)
+    kp = kp.reshape(a, s, a, s, cout, cin)[::-1, :, ::-1]
+    ksub = kp.transpose(0, 2, 5, 1, 3, 4).reshape(a, a, cin, s * s * cout)
+    phases = _conv_data(xb, ksub, 1, a - 1)[0]
+    qh, qw = phases.shape[1:3]
+    full = phases.reshape(n, qh, qw, s, s, cout).transpose(
+        0, 1, 3, 2, 4, 5).reshape(n, qh * s, qw * s, cout)
     out = full[:, pad:pad + ho, pad:pad + wo, :]
 
     def backward(g):

@@ -8,7 +8,7 @@ import pytest
 
 from gean import checks, data, decoder, metrics, rgp
 from gean.metrics import auc_judd
-from gean.pools import spatial_attention
+from gean.pools import DEFAULT_LAMBDA, spatial_attention
 from gean.tensor import Tensor
 from gean.text import tokenize
 
@@ -32,9 +32,8 @@ def trained_rgp(synth8):
     _, clips = synth8
     train = data.gaze_training_clips(clips)
     ent = rgp.target_entropy(train)
-    cfg = rgp.RgpTrainConfig(lr=1e-4, steps=800, seed=SEED,
-                             target_loss=ent + 0.15)
-    params, _ = rgp.train_rgp(train, cfg)
+    params, _ = rgp.train_rgp(train, lr=1e-4, steps=800, seed=SEED,
+                              target_loss=ent + 0.15)
     return params
 
 
@@ -59,10 +58,10 @@ def caption_runs(synth8, trained_rgp):
     frozen_before = {n: p.data.tobytes()
                      for n, p in trained_rgp.params.items()}
     for gaze in ("learned", "random", "peripheral"):
-        cfg = decoder.CaptionTrainConfig(lr=1e-4, steps=5000, seed=SEED,
-                                         gaze=gaze)
         rp = trained_rgp if gaze == "learned" else None
-        dparams, vocab, history = decoder.train_captioner(clips, rp, cfg)
+        dparams, vocab, history = decoder.train_captioner(
+            clips, rp, lr=1e-4, steps=5000, seed=SEED, l2_coeff=1e-5,
+            max_len=decoder.MAX_LEN, lam=DEFAULT_LAMBDA, gaze=gaze)
         runs[gaze] = {
             "bleu1": _bleu1(clips, dparams, vocab, rp, gaze),
             "steps": len(history),
@@ -180,9 +179,8 @@ def test_rgp_overfit(tmp_path_factory):
     _, clips = data.load_dataset(manifest)
     train = data.gaze_training_clips(clips)
     ent = rgp.target_entropy(train)
-    cfg = rgp.RgpTrainConfig(lr=1e-4, steps=2000, seed=SEED,
-                             target_loss=ent + 0.05)
-    _, history = rgp.train_rgp(train, cfg)
+    _, history = rgp.train_rgp(train, lr=1e-4, steps=2000, seed=SEED,
+                               target_loss=ent + 0.05)
     elapsed = time.time() - start
     recent = float(np.mean(history[-len(train):]))
     assert len(history) <= 2000

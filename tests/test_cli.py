@@ -436,7 +436,9 @@ def test_malformed_manifest_exit_1(dataset, tmp_path, capsys, edit, message):
     (lambda text: text.replace(",0.", ",abc", 1), "line 2: column 'x'"),
     (lambda text: text.replace(",y", ",z", 1), "line 2: column 'y'"),
     (lambda text: text.replace("\n0,", "\n-1,", 1), "line 2: negative frame"),
-], ids=["x-abc", "no-y-column", "negative-frame"])
+    (lambda text: text + "99,0,0.5,0.5\n",
+     "fixation frame 99 is not below the clip's n_frames 4"),
+], ids=["x-abc", "no-y-column", "negative-frame", "frame-past-clip"])
 def test_malformed_fixation_csv_exit_1(dataset, tmp_path, capsys, edit,
                                        message):
     root = _copy_dataset(dataset, tmp_path)

@@ -207,20 +207,23 @@ def test_sauc_deterministic():
 # evaluation protocol
 # ---------------------------------------------------------------------------
 
-def _protocol_clip(seed=0, n_frames=3, h=60, w=60):
+FRAME_SIZE = (60, 60)
+
+
+def _protocol_clip(seed=0, n_frames=3):
     rng = np.random.default_rng(seed)
     fixations = {}
     for fi in range(n_frames):
         fixations[fi] = [FixationRecord(fi, s, float(rng.uniform(0.2, 0.8)),
                                         float(rng.uniform(0.2, 0.8)))
                          for s in range(3)]
-    return {"id": "c%d" % seed, "n_frames": n_frames, "frame_size": (h, w),
-            "fixations": fixations}
+    return {"id": "c%d" % seed, "n_frames": n_frames, "fixations": fixations}
 
 
 def test_protocol_copy_gt_is_upper_bound():
     clips = [_protocol_clip(0), _protocol_clip(1)]
-    table = eval_protocol(clips, "copy-gt", n_sets=2, set_size=4, seed=0)
+    table = eval_protocol(clips, "copy-gt", FRAME_SIZE, n_sets=2, set_size=4,
+                          seed=0)
     assert table["Sim"] == pytest.approx(1.0, abs=1e-6)
     assert table["CC"] == pytest.approx(1.0, abs=1e-6)
     assert 0.0 <= table["AUC"] <= 1.0
@@ -235,8 +238,10 @@ def test_protocol_deterministic():
         m = rng.random((clip["n_frames"], 49, 49))
         return m / m.sum(axis=(1, 2), keepdims=True)
 
-    t1 = eval_protocol(clips, predictor, n_sets=2, set_size=3, seed=5)
-    t2 = eval_protocol(clips, predictor, n_sets=2, set_size=3, seed=5)
+    t1 = eval_protocol(clips, predictor, FRAME_SIZE, n_sets=2, set_size=3,
+                       seed=5)
+    t2 = eval_protocol(clips, predictor, FRAME_SIZE, n_sets=2, set_size=3,
+                       seed=5)
     assert t1 == t2
 
 
@@ -246,9 +251,9 @@ def test_protocol_single_frame_matches_single_metrics():
     rng = np.random.default_rng(11)
     pred = rng.random((1, 49, 49))
     pred /= pred.sum()
-    table = eval_protocol([clip], lambda c: pred, n_sets=1, set_size=1,
-                          seed=0)
-    h, w = clip["frame_size"]
+    table = eval_protocol([clip], lambda c: pred, FRAME_SIZE, n_sets=1,
+                          set_size=1, seed=0)
+    h, w = FRAME_SIZE
     fx = clip["fixations"][0]
     pe = pred_eval_map(pred[0], h, w)
     ge = gt_eval_map(fx, h, w)

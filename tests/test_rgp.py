@@ -9,8 +9,8 @@ import pytest
 from gean import tensor as T
 from gean.checks import SMALL_RGP
 from gean.errors import GeanError
-from gean.rgp import (RgpConfig, RgpParams, RgpTrainConfig, predict_gaze,
-                      rgp_cell_step, rgp_forward_scores, rgp_loss_from_scores,
+from gean.rgp import (RgpConfig, RgpParams, predict_gaze, rgp_cell_step,
+                      rgp_forward_scores, rgp_loss_from_scores,
                       rgp_readout_scores, target_entropy, train_rgp)
 from gean.tensor import Parameter, Tape, Tensor, grad_check
 
@@ -247,6 +247,15 @@ def test_grad_check_over_three_frames():
         [params.w_zrh, params.u_zr, params.u_h]) <= 1e-4
 
 
+def test_float64_features_run_in_the_weights_dtype():
+    params = RgpParams.create(np.random.default_rng(17), SMALL)
+    feats = np.random.default_rng(18).standard_normal((2, 7, 7, 4))
+    maps = predict_gaze(feats, params)
+    assert maps.dtype == np.float32
+    np.testing.assert_array_equal(
+        maps, predict_gaze(feats.astype(np.float32), params))
+
+
 def test_forward_rejects_empty():
     with pytest.raises(GeanError, match="expected a non-empty"):
         predict_gaze(np.zeros((0, 7, 7, 4)), small_params())
@@ -311,8 +320,8 @@ def _toy_dataset(seed=0, n_frames=4):
 
 def test_train_zero_lr_keeps_parameters():
     dataset = _toy_dataset()
-    cfg = RgpTrainConfig(lr=0.0, steps=2, seed=0)
-    params, _ = train_rgp(dataset, cfg, model_config=SMALL)
+    params, _ = train_rgp(dataset, lr=0.0, steps=2, seed=0, target_loss=None,
+                          model_config=SMALL)
     fresh = RgpParams.create(np.random.default_rng(0), SMALL)
     for name in RgpParams.NAMES:
         np.testing.assert_array_equal(params.params[name].data,
@@ -320,18 +329,18 @@ def test_train_zero_lr_keeps_parameters():
 
 
 def test_train_deterministic_loss_curves():
-    cfg = RgpTrainConfig(lr=1e-4, steps=4, seed=3)
-    _, h1 = train_rgp(_toy_dataset(), cfg, model_config=SMALL)
-    _, h2 = train_rgp(_toy_dataset(), cfg, model_config=SMALL)
+    cfg = dict(lr=1e-4, steps=4, seed=3, target_loss=None, model_config=SMALL)
+    _, h1 = train_rgp(_toy_dataset(), **cfg)
+    _, h2 = train_rgp(_toy_dataset(), **cfg)
     assert h1 == h2
 
 
 def test_train_stops_on_non_finite_loss():
     dataset = _toy_dataset(n_frames=4) + _toy_dataset(seed=1, n_frames=4)
     dataset[1]["motion"][2, 3, 3, 0] = np.nan
-    cfg = RgpTrainConfig(lr=1e-4, steps=4, seed=0)
     with pytest.raises(FloatingPointError, match="nan at training step 2"):
-        train_rgp(dataset, cfg, model_config=SMALL)
+        train_rgp(dataset, lr=1e-4, steps=4, seed=0, target_loss=None,
+                  model_config=SMALL)
 
 
 def test_target_entropy_uniform():

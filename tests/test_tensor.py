@@ -110,8 +110,10 @@ def _scatter_conv_transpose(x, k, stride, pad):
     return full[:, pad:full.shape[1] - pad, pad:full.shape[2] - pad]
 
 
-@pytest.mark.parametrize("k, stride, pad", [(4, 2, 1), (3, 2, 0), (3, 1, 1),
-                                             (5, 3, 2), (1, 1, 0)])
+@pytest.mark.parametrize("k, stride, pad", [
+    (4, 2, 1), (3, 2, 0), (3, 1, 1), (5, 3, 2), (1, 1, 0),
+    # a non-square kernel runs on a square tap count, zero-padded
+    pytest.param((3, 2), 2, 0, id="3x2-2-0")])
 @pytest.mark.parametrize("shape", [(1, 5, 6, 3), (2, 4, 5, 3)])
 @pytest.mark.parametrize("dtype, rtol", [(np.float32, 1e-5),
                                          (np.float64, 1e-12)])
@@ -119,7 +121,8 @@ def test_conv_transpose_matches_scatter_add(k, stride, pad, shape, dtype,
                                             rtol):
     rng = np.random.default_rng(11)
     x = rng.standard_normal(shape).astype(dtype)
-    kern = rng.standard_normal((k, k, 2, 3)).astype(dtype)
+    kh, kw = k if isinstance(k, tuple) else (k, k)
+    kern = rng.standard_normal((kh, kw, 2, 3)).astype(dtype)
     out = T.conv_transpose2d(Tensor(x), Tensor(kern), stride=stride, pad=pad)
     ref = _scatter_conv_transpose(x.astype(np.float64),
                                   kern.astype(np.float64), stride, pad)
