@@ -76,7 +76,7 @@ def _decoder_check(scalar, n_targets):
                 0, SMALL_DECODER.vocab_size, size=n_targets)]
 
             def f():
-                state = DecoderState.initial(SMALL_DECODER, dtype=np.float64)
+                state = DecoderState.initial(params)
                 logits, _ = decode_step(state, attention_keys(pools, params),
                                         [0, targets[0]], params)
                 return scalar(logits, targets, params)

@@ -46,15 +46,8 @@ def _fixed(value, key=None):
 def write_report(path, obj):
     """Format the whole report first, so a refused one leaves no file."""
     text = _fixed(obj) + "\n"
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as f:
         f.write(text)
-
-
-def _out_dir(args):
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 def _sizing(arrays, names, ndim):
@@ -114,28 +107,26 @@ def _load_decoder(ckpt_path, meta_path):
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: `main` has made `args.out` and, for a command with a
+# --manifest, read the dataset into `args.dataset` and `args.frame_size`
 # ---------------------------------------------------------------------------
 
 def cmd_make_synthetic(args):
-    out = _out_dir(args)
-    path = data.make_synthetic(out, n_clips=args.clips, n_frames=args.frames,
-                               seed=args.seed)
-    write_report(out / "make_synthetic.json",
+    path = data.make_synthetic(args.out, n_clips=args.clips,
+                               n_frames=args.frames, seed=args.seed)
+    write_report(args.out / "make_synthetic.json",
                  {"manifest": path.name, "clips": args.clips,
                   "frames": args.frames})
     return 0
 
 
 def cmd_train_rgp(args):
-    out = _out_dir(args)
-    _, clips = data.load_dataset(args.manifest)
-    train_clips = data.gaze_training_clips(clips)
+    train_clips = data.gaze_training_clips(args.dataset)
     params, history = rgp.train_rgp(train_clips, lr=args.lr, steps=args.steps,
                                     seed=args.seed,
                                     target_loss=args.target_loss)
-    data.save_checkpoint(out / "rgp.ckpt", params.state_dict())
-    write_report(out / "train_rgp.json", {
+    data.save_checkpoint(args.out / "rgp.ckpt", params.state_dict())
+    write_report(args.out / "train_rgp.json", {
         "steps": len(history),
         "final_loss": history[-1],
         "target_entropy": rgp.target_entropy(train_clips),
@@ -144,83 +135,71 @@ def cmd_train_rgp(args):
 
 
 def cmd_predict_gaze(args):
-    out = _out_dir(args)
     params = _load_rgp(args.rgp)
-    _, clips = data.load_dataset(args.manifest)
     index = {}
-    for clip in clips:
+    for clip in args.dataset:
         maps = rgp.predict_gaze(clip["motion"], params)
         rel = "%s_gaze.bin" % clip["id"]
-        data.write_feature_file(out / rel, maps.astype(np.float64))
+        data.write_feature_file(args.out / rel, maps.astype(np.float64))
         index[clip["id"]] = rel
-    write_report(out / "predict_gaze.json", index)
+    write_report(args.out / "predict_gaze.json", index)
     return 0
 
 
 def cmd_train_captioner(args):
-    out = _out_dir(args)
-    _, clips = data.load_dataset(args.manifest)
     rgp_params = _load_rgp(args.rgp) if args.rgp else None
     params, vocab, history = decoder.train_captioner(
-        clips, rgp_params, lr=args.lr, steps=args.steps, seed=args.seed,
+        args.dataset, rgp_params, lr=args.lr, steps=args.steps, seed=args.seed,
         l2_coeff=args.l2, max_len=args.max_len, lam=args.lam, gaze=args.gaze)
-    data.save_checkpoint(out / "decoder.ckpt", params.state_dict())
-    write_report(out / "decoder_meta.json", {"words": vocab.words[3:]})
-    write_report(out / "train_captioner.json",
+    data.save_checkpoint(args.out / "decoder.ckpt", params.state_dict())
+    write_report(args.out / "decoder_meta.json", {"words": vocab.words[3:]})
+    write_report(args.out / "train_captioner.json",
                  {"steps": len(history), "final_loss": history[-1],
                   "gaze": args.gaze})
     return 0
 
 
 def cmd_caption(args):
-    out = _out_dir(args)
-    _, clips = data.load_dataset(args.manifest)
     params, vocab = _load_decoder(args.decoder, args.decoder_meta)
     rgp_params = _load_rgp(args.rgp) if args.rgp else None
     captions = {}
-    for i, clip in enumerate(clips):
+    for i, clip in enumerate(args.dataset):
         pools = decoder.build_clip_pools(
             clip["scene"], clip["motion"], clip["fovea"], rgp_params,
             args.gaze, args.lam, seed=args.seed + i)
         ids = decoder.decode_greedy(pools, params, vocab, args.max_len)
         captions[clip["id"]] = " ".join(vocab.decode(ids))
-    write_report(out / "captions.json", captions)
+    write_report(args.out / "captions.json", captions)
     return 0
 
 
 def cmd_eval_gaze(args):
-    out = _out_dir(args)
-    manifest, clips = data.load_dataset(args.manifest)
-    frame_size = manifest.get("frame_size")
-    if not (isinstance(frame_size, list) and len(frame_size) == 2
-            and all(type(v) is int and v > 0 for v in frame_size)):
-        raise GeanError("manifest %s: 'frame_size' is missing or not 2 "
-                        "positive integers" % args.manifest)
     if args.copy_gt:
-        predictor = "copy-gt"
-    else:
-        if not args.rgp:
-            raise _UsageError("eval-gaze requires --rgp or --copy-gt")
+        preds = None
+    elif args.rgp:
         params = _load_rgp(args.rgp)
-        predictor = lambda clip: rgp.predict_gaze(clip["motion"], params)
-    table = metrics.eval_protocol(clips, predictor, frame_size,
+        preds = [rgp.predict_gaze(clip["motion"], params)
+                 for clip in args.dataset]
+    else:
+        raise _UsageError("eval-gaze requires --rgp or --copy-gt")
+    table = metrics.eval_protocol(args.dataset, preds, args.frame_size,
                                   n_sets=args.protocol_sets,
                                   set_size=args.protocol_frames,
                                   seed=args.seed)
-    write_report(out / "eval_gaze.json", table)
+    write_report(args.out / "eval_gaze.json", table)
     return 0
 
 
 def cmd_eval_captions(args):
-    out = _out_dir(args)
-    _, clips = data.load_dataset(args.manifest)
     captions = data.load_json(args.captions, "captions")
     if not (isinstance(captions, dict)
             and all(isinstance(c, str) for c in captions.values())):
         raise GeanError("captions %s is not an object of strings"
                         % args.captions)
-    cands = {c["id"]: tokenize(captions.get(c["id"], "")) for c in clips}
-    refs = {c["id"]: [tokenize(r) for r in c["captions"]] for c in clips}
+    cands = {c["id"]: tokenize(captions.get(c["id"], ""))
+             for c in args.dataset}
+    refs = {c["id"]: [tokenize(r) for r in c["captions"]]
+            for c in args.dataset}
     ids = sorted(cands)
     report = {}
     for n in (1, 2, 3, 4):
@@ -229,15 +208,14 @@ def cmd_eval_captions(args):
     report["rouge_l"] = float(np.mean(
         [metrics.rouge_l(cands[i], refs[i]) for i in ids]))
     _, report["cider"] = metrics.cider(cands, refs)
-    write_report(out / "eval_captions.json", report)
+    write_report(args.out / "eval_captions.json", report)
     return 0
 
 
 def cmd_gradcheck(args):
     from .checks import gradient_report
-    out = _out_dir(args)
     report = gradient_report(seed=args.seed, instances=args.instances)
-    write_report(out / "gradcheck.json", report)
+    write_report(args.out / "gradcheck.json", report)
     worst = max(v for v in report.values())
     return 0 if worst <= 1e-4 else 2
 
@@ -277,7 +255,7 @@ def build_parser():
     def common(p, manifest=True):
         if manifest:
             p.add_argument("--manifest", required=True)
-        p.add_argument("--out", required=True)
+        p.add_argument("--out", required=True, type=Path)
         p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("make-synthetic")
@@ -346,6 +324,10 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         args.seed = resolve_seed(args.seed)
+        if "manifest" in args:
+            manifest, args.dataset = data.load_dataset(args.manifest)
+            args.frame_size = manifest["frame_size"]
+        args.out.mkdir(parents=True, exist_ok=True)
         return args.func(args)
     except _UsageError as e:
         print(str(e), file=sys.stderr)

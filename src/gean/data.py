@@ -162,8 +162,8 @@ def _field(obj, key, kind, where, optional=False):
 
 def load_dataset(manifest_path):
     """Read a dataset manifest and every clip it lists, each feature file
-    once; fail fast on a malformed manifest field or a missing or wrongly
-    shaped feature file.
+    once; fail fast on a malformed manifest field (`frame_size` is required)
+    or a missing or wrongly shaped feature file.
 
     Returns (manifest, clips): the parsed manifest JSON and one record of
     arrays per clip.
@@ -171,6 +171,10 @@ def load_dataset(manifest_path):
     path = Path(manifest_path)
     manifest = load_json(path, "manifest")
     root = path.parent
+    size = _field(manifest, "frame_size", list, "manifest %s" % path)
+    if len(size) != 2 or not all(type(v) is int and v > 0 for v in size):
+        raise GeanError("manifest %s: field 'frame_size' is not 2 positive "
+                        "integers" % path)
     clips = []
     for i, clip in enumerate(_field(manifest, "clips", list,
                                     "manifest %s" % path)):
@@ -198,9 +202,6 @@ def load_dataset(manifest_path):
         rel = _field(clip, "fixations", str, where, optional=True)
         if rel:
             csv_path = root / rel
-            if not csv_path.exists():
-                raise GeanError("%s: fixation file %s missing"
-                                % (where, csv_path))
             out["fixations"] = read_fixations(csv_path)
             last = max(out["fixations"], default=0)
             if last >= n:

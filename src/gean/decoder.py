@@ -90,8 +90,10 @@ class DecoderState:
         self.betas = betas or {}
 
     @classmethod
-    def initial(cls, config, dtype=np.float32):
-        zero = lambda: Tensor(np.zeros(config.hidden, dtype=dtype))
+    def initial(cls, params):
+        """Zero states, in the size and dtype of the decoder's weights."""
+        u_h = params.att_u_h.data
+        zero = lambda: Tensor(np.zeros(u_h.shape[0], dtype=u_h.dtype))
         return cls(zero(), zero())
 
 
@@ -213,7 +215,7 @@ def decode_greedy(pools, params, vocab, max_len=MAX_LEN):
     stops at <EOS> or max_len."""
     with no_grad():
         keys = attention_keys(pools, params)
-        state = DecoderState.initial(params.config)
+        state = DecoderState.initial(params)
         word = vocab.bos
         out = []
         for _ in range(max_len):
@@ -256,7 +258,7 @@ def teacher_forced_loss(pools, token_ids, params, vocab, l2_coeff=0.0,
     token_ids = list(token_ids)[:max_len]
     if not token_ids:
         raise GeanError("empty ground-truth sequence")
-    state = DecoderState.initial(params.config)
+    state = DecoderState.initial(params)
     logits, _ = decode_step(state, attention_keys(pools, params),
                             [vocab.bos] + token_ids, params, dropout_on, rng)
     return caption_loss(logits, token_ids + [vocab.eos], params, l2_coeff)
@@ -291,8 +293,6 @@ def train_captioner(dataset, rgp_params, *, lr, steps, seed, l2_coeff,
     frozen. Returns (params, vocab, loss history)."""
     if not dataset:
         raise GeanError("empty dataset")
-    if gaze == "learned" and rgp_params is None:
-        raise GeanError("no RGP checkpoint supplied for learned gaze")
     rng = np.random.default_rng(seed)
 
     vocab = build_vocab([c for clip in dataset for c in clip["captions"]])

@@ -7,7 +7,7 @@ from collections import Counter, defaultdict
 import numpy as np
 
 from .errors import GeanError
-from .gaze import GRID, fixation_pixels, gt_eval_map, pred_eval_map
+from .gaze import fixation_pixels, gt_eval_map, pred_eval_map
 
 # ---------------------------------------------------------------------------
 # Saliency metrics
@@ -33,25 +33,20 @@ def cc(p, q):
     return float(np.corrcoef(p, q)[0, 1])
 
 
-def _auc_from_values(pos, neg):
-    """ROC area; thresholds swept over unique positive values, ties >= ."""
+def _auc(pos, negs):
+    """ROC area of the positives `pos` against each row of `negs`, one
+    area per row; thresholds swept over the unique positive values, ties
+    counted as >= ."""
     pos = np.asarray(pos, dtype=np.float64)
-    neg = np.asarray(neg, dtype=np.float64)
     thresholds = np.unique(pos)[::-1]
-    tpr = _tpr(pos, thresholds)
-    fpr = np.concatenate(([0.0], _rate_at_or_above(neg, thresholds)
-                          if neg.size else np.zeros(thresholds.size), [1.0]))
-    return float(np.trapezoid(tpr, fpr))
-
-
-def _rate_at_or_above(values, thresholds):
-    below = np.searchsorted(np.sort(values), thresholds, side="left")
-    return (values.size - below) / values.size
-
-
-def _tpr(pos, thresholds):
-    """ROC true-positive rates at (0, each threshold, 1)."""
-    return np.concatenate(([0.0], _rate_at_or_above(pos, thresholds), [1.0]))
+    rows = [pos, *np.asarray(negs, dtype=np.float64)]
+    # rates[i, 1:-1]: the share of row i at or above each threshold
+    rates = np.zeros((len(rows), thresholds.size + 2))
+    rates[:, -1] = 1.0
+    for rate, row in zip(rates, rows):
+        below = np.searchsorted(np.sort(row), thresholds, side="left")
+        rate[1:-1] = (row.size - below) / max(row.size, 1)
+    return np.trapezoid(rates[0], rates[1:], axis=-1)
 
 
 def auc_judd(saliency, fixations):
@@ -60,35 +55,28 @@ def auc_judd(saliency, fixations):
     if not fixations:
         raise GeanError("auc_judd requires at least one fixation pixel")
     mask = np.zeros(saliency.shape, dtype=bool)
-    for r, c in fixations:
-        mask[r, c] = True
-    return _auc_from_values(saliency[mask], saliency[~mask])
+    mask[tuple(np.asarray(fixations).T)] = True
+    return float(_auc(saliency[mask], [saliency[~mask]])[0])
 
 
 def sauc(saliency, fixations, shuffle_pool, n_splits=10, seed=0):
-    """Shuffled AUC: negatives drawn from fixations of other stimuli."""
+    """Shuffled AUC: negatives drawn from fixations of other stimuli, the
+    (row, col) pixels of `shuffle_pool`, once per split."""
     saliency = np.asarray(saliency, dtype=np.float64)
     if not fixations:
         raise GeanError("sauc requires at least one fixation pixel")
-    if not shuffle_pool:
+    if not len(shuffle_pool):
         raise GeanError("sauc requires a non-empty shuffle pool")
     pos = saliency[tuple(np.asarray(fixations).T)]
-    pool = saliency[tuple(np.asarray(shuffle_pool).T)]
+    pool = np.asarray(shuffle_pool)
     rng = np.random.default_rng(seed)
     n_neg = min(len(pool), len(pos))
-    negs = np.stack([rng.choice(pool, size=n_neg, replace=False)
-                     for _ in range(n_splits)])
-    # _auc_from_values for all splits at once: the thresholds and TPR are
-    # shared; row s of fpr counts split s's negatives >= each threshold
-    thresholds = np.unique(pos)[::-1]
-    below = (negs[:, :, None] < thresholds).sum(axis=1)
-    fpr = np.zeros((n_splits, thresholds.size + 2))
-    fpr[:, 1:-1] = (n_neg - below) / n_neg
-    fpr[:, -1] = 1.0
-    return float(np.mean(np.trapezoid(_tpr(pos, thresholds), fpr, axis=-1)))
+    drawn = pool[np.stack([rng.choice(len(pool), size=n_neg, replace=False)
+                           for _ in range(n_splits)])]
+    return float(np.mean(_auc(pos, saliency[drawn[..., 0], drawn[..., 1]])))
 
 
-def eval_protocol(clips, predictor, frame_size, n_sets=10, set_size=3000,
+def eval_protocol(clips, preds, frame_size, n_sets=10, set_size=3000,
                   seed=0):
     """Sampled gaze-evaluation protocol.
 
@@ -96,29 +84,24 @@ def eval_protocol(clips, predictor, frame_size, n_sets=10, set_size=3000,
     scores Sim/CC/sAUC/AUC per frame on full-resolution (H, W) =
     `frame_size` eval pairs, and averages within each set, then across sets.
 
-    clips: records with 'fixations' (frame -> fixation list), 'n_frames',
-    and whatever `predictor(clip)` needs to return a (N, 49, 49) gaze-map
-    array. predictor="copy-gt" scores the GT map against itself (identity
-    upper bound).
+    clips: records with 'fixations' (frame -> fixation list) and
+    'n_frames'. preds: one (n_frames, 49, 49) gaze-map array per clip, or
+    None to score each GT map against itself (identity upper bound).
     """
     h, w = frame_size
-    copy_gt = predictor == "copy-gt"
-    if copy_gt:
-        preds = [np.zeros((clip["n_frames"], GRID, GRID)) for clip in clips]
-    else:
-        preds = [np.asarray(predictor(clip)) for clip in clips]
     frames = []
-    pools = []
+    pixels = []  # (clip, row, col) of every fixation pixel
     for ci, clip in enumerate(clips):
-        pixels = []
-        for fi in range(preds[ci].shape[0]):
+        for fi in range(clip["n_frames"]):
             fx = clip["fixations"].get(fi, [])
             if fx:
                 frames.append((ci, fi))
-                pixels.extend(fixation_pixels(fx, h, w))
-        pools.append(pixels)
+                pixels.extend((ci, r, c) for r, c in fixation_pixels(fx, h, w))
     if not frames:
         raise GeanError("no eligible frames with fixations")
+    pixels = np.array(pixels, dtype=np.intp)
+    # each clip's shuffle pool: the fixation pixels of every other clip
+    shuffles = [pixels[pixels[:, 0] != ci, 1:] for ci in range(len(clips))]
 
     rng = np.random.default_rng(seed)
     cache = {}
@@ -132,16 +115,15 @@ def eval_protocol(clips, predictor, frame_size, n_sets=10, set_size=3000,
             if (ci, fi) not in cache:
                 fx = clips[ci]["fixations"][fi]
                 gt_eval = gt_eval_map(fx, h, w)
-                pred_eval = gt_eval if copy_gt else pred_eval_map(
+                pred_eval = gt_eval if preds is None else pred_eval_map(
                     preds[ci][fi], h, w)
                 pix = fixation_pixels(fx, h, w)
-                shuffle = [p for cj, pool in enumerate(pools) if cj != ci
-                           for p in pool]
+                shuffle = shuffles[ci] if len(shuffles[ci]) else pix
                 cache[ci, fi] = {
                     "Sim": sim(pred_eval, gt_eval),
                     "CC": cc(pred_eval, gt_eval),
                     "AUC": auc_judd(pred_eval, pix),
-                    "sAUC": sauc(pred_eval, pix, shuffle or pix, seed=seed),
+                    "sAUC": sauc(pred_eval, pix, shuffle, seed=seed),
                 }
             for name, value in cache[ci, fi].items():
                 per_set[name].append(value)

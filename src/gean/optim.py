@@ -10,11 +10,15 @@ SEED_ENV = "GEAN_SEED"
 
 
 def resolve_seed(seed=None):
-    """Explicit seed, else the GEAN_SEED env var, else 0."""
+    """The GEAN_SEED env var if set (it overrides an explicit seed), else
+    the explicit seed, else 0."""
     env = os.environ.get(SEED_ENV)
-    if env is not None:
+    if env is None:
+        return 0 if seed is None else int(seed)
+    try:
         return int(env)
-    return 0 if seed is None else int(seed)
+    except ValueError:
+        raise GeanError("%s=%r is not an integer" % (SEED_ENV, env)) from None
 
 
 def finite_loss(loss, step):

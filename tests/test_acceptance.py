@@ -111,8 +111,7 @@ def test_distribution_invariants():
         assert alpha.min() > 0.0
         pools = {ch: Tensor(rng.standard_normal((3, checks.SMALL_DECODER.feat)))
                  for ch in decoder.CHANNELS}
-        state = decoder.DecoderState.initial(checks.SMALL_DECODER,
-                                             dtype=np.float64)
+        state = decoder.DecoderState.initial(dparams)
         _, state = decoder.decode_step(
             state, decoder.attention_keys(pools, dparams), [0], dparams)
         for beta in state.betas.values():

@@ -363,6 +363,14 @@ def test_seed_env_overrides_flag(dataset, tmp_path, monkeypatch):
     assert b1 == (out3 / "rgp.ckpt").read_bytes()
 
 
+def test_malformed_seed_env_exit_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("GEAN_SEED", "abc")
+    rc = main(["make-synthetic", "--out", str(tmp_path / "d"),
+               "--clips", "1", "--frames", "1"])
+    assert rc == 1
+    assert "GEAN_SEED='abc' is not an integer" in capsys.readouterr().err
+
+
 def _copy_dataset(dataset, tmp_path):
     root = tmp_path / "data"
     shutil.copytree(dataset.parent, root)
@@ -430,6 +438,32 @@ def test_malformed_manifest_exit_1(dataset, tmp_path, capsys, edit, message):
     err = capsys.readouterr().err
     assert rc == 1
     assert message in err and str(path) in err
+
+
+def test_missing_fixation_file_exit_1(dataset, tmp_path, capsys):
+    root = _copy_dataset(dataset, tmp_path)
+    path = root / "clip001_fixations.csv"
+    path.unlink()
+    rc = main(["eval-gaze", "--manifest", str(root / "manifest.json"),
+               "--copy-gt", "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "No such file" in err and str(path) in err
+
+
+def test_train_rgp_rejects_non_positive_frame_size(dataset, tmp_path, capsys):
+    root = _copy_dataset(dataset, tmp_path)
+    path = root / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["frame_size"] = [0, 98]
+    path.write_text(json.dumps(manifest))
+    out = tmp_path / "rgp"
+    rc = main(["train-rgp", "--manifest", str(path), "--out", str(out),
+               "--steps", "1", "--seed", "0"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "'frame_size'" in err and str(path) in err
+    assert not (out / "rgp.ckpt").exists()
 
 
 @pytest.mark.parametrize("edit, message", [

@@ -172,10 +172,10 @@ def test_recurrent_blocks_orthogonal_each():
 def test_decode_step_deterministic_and_bounded():
     params = make_params(10)
     pools = make_pools(11)
-    s0 = DecoderState.initial(CFG, dtype=np.float64)
+    s0 = DecoderState.initial(params)
     keys = attention_keys(pools, params)
     l1, n1 = decode_step(s0, keys, [0], params)
-    s0b = DecoderState.initial(CFG, dtype=np.float64)
+    s0b = DecoderState.initial(params)
     l2, _ = decode_step(s0b, keys, [0], params)
     np.testing.assert_array_equal(l1.data, l2.data)
     probs = np.exp(l1.data - l1.data.max())
@@ -193,7 +193,7 @@ def test_decode_step_zero_hidden_gives_zero_fusion():
         if name.startswith(("att_", "b_att")):
             params.params[name].data[...] = 0.0
     pools = make_pools(13)
-    logits, _ = decode_step(DecoderState.initial(CFG, dtype=np.float64),
+    logits, _ = decode_step(DecoderState.initial(params),
                             attention_keys(pools, params), [0], params)
     # with q = 0 and h_m starting at 0, the logits reduce to the bias path
     assert np.all(np.isfinite(logits.data))
@@ -203,7 +203,7 @@ def test_decode_step_rejects_bad_word():
     # checked before any tape node: a bad word records nothing
     params = make_params()
     keys = attention_keys(make_pools(), params)
-    state = DecoderState.initial(CFG, dtype=np.float64)
+    state = DecoderState.initial(params)
     for words, message in (([CFG.vocab_size], "span word 0 has index 6"),
                            ([0, 3, -1, 4, 2], "span word 2 has index -1"),
                            ([1, 2, 3, 4, 7], "span word 4 has index 7"),
@@ -246,7 +246,7 @@ def test_greedy_numpy_pools_decode_in_weight_dtype():
     vocab = _vocab()
     assert (decode_greedy(pools, params, vocab, max_len=12)
             == decode_greedy(tensors, params, vocab, max_len=12))
-    logits, _ = decode_step(DecoderState.initial(CFG),
+    logits, _ = decode_step(DecoderState.initial(params),
                             attention_keys(pools, params), [0], params)
     assert logits.data.dtype == np.float32
 
@@ -364,7 +364,7 @@ def test_teacher_forced_keys_once_match_per_word_keys():
         return loss.item(), grads
 
     def reference(rng):
-        state = DecoderState.initial(CFG, dtype=np.float64)
+        state = DecoderState.initial(params)
         logits_seq = []
         for prev in [vocab.bos] + ids:
             logits, state = _per_word_decode_step(state, prev, pools, params,
@@ -400,7 +400,7 @@ def test_greedy_keys_once_bit_identical_to_per_word_keys(monkeypatch):
     monkeypatch.setattr("gean.decoder.decode_step", recording_step)
     ids = decode_greedy(pools, params, vocab, max_len=12)
     monkeypatch.undo()
-    state = DecoderState.initial(CFG)
+    state = DecoderState.initial(params)
     ref_ids, ref_logits = [], []
     word = vocab.bos
     with no_grad():
@@ -503,7 +503,7 @@ def test_span_keeps_every_words_betas():
     vocab = _vocab()
     words = [vocab.bos, 3, 5, 3, 4, 4, 5]
     with Tape() as tape:
-        logits, state = decode_step(DecoderState.initial(CFG, np.float64),
+        logits, state = decode_step(DecoderState.initial(params),
                                     attention_keys(pools, params), words,
                                     params, True, np.random.default_rng(37))
         tape.backward(caption_loss(logits, words[1:] + [vocab.eos], params))

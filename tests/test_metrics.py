@@ -9,7 +9,7 @@ import pytest
 
 from gean.errors import GeanError
 from gean.gaze import FixationRecord
-from gean.metrics import (_auc_from_values, _lcs_len, auc_judd, bleu, cc,
+from gean.metrics import (_auc, _lcs_len, auc_judd, bleu, cc,
                           cider, corpus_bleu, eval_protocol, rouge_l, sauc,
                           sim)
 
@@ -110,9 +110,9 @@ def _auc_cases():
     yield [0.2, 0.2, 0.9], []
 
 
-def test_auc_from_values_equals_loop_reference():
+def test_auc_equals_loop_reference():
     for pos, neg in _auc_cases():
-        assert _auc_from_values(pos, neg) == _loop_auc(pos, neg)
+        assert _auc(pos, [neg])[0] == _loop_auc(pos, neg)
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +170,7 @@ def test_sauc_equals_per_pixel_reference():
         assert sauc(s, cells, pool, n_splits=10, seed=trial) == ref
 
 
-def test_sauc_equals_split_loop_over_auc_from_values():
+def test_sauc_equals_split_loop_over_auc():
     # float saliency with ties; fewer positives than pool entries, so each
     # split draws a strict subset of the pool
     rng = np.random.default_rng(23)
@@ -188,10 +188,20 @@ def test_sauc_equals_split_loop_over_auc_from_values():
         values = s[tuple(np.asarray(pool).T)]
         draw = np.random.default_rng(trial)
         ref = float(np.mean([
-            _auc_from_values(pos, draw.choice(values, size=len(pos),
-                                              replace=False))
+            _auc(pos, [draw.choice(values, size=len(pos), replace=False)])[0]
             for _ in range(10)]))
         assert sauc(s, cells, pool, n_splits=10, seed=trial) == ref
+
+
+def test_sauc_array_pool_equals_list_pool():
+    rng = np.random.default_rng(9)
+    s = rng.random((9, 9))
+    pool = rng.integers(0, 9, (30, 2))
+    as_list = [tuple(int(v) for v in p) for p in pool]
+    assert (sauc(s, [(4, 4), (2, 7)], pool, seed=3)
+            == sauc(s, [(4, 4), (2, 7)], as_list, seed=3))
+    with pytest.raises(GeanError, match="non-empty shuffle pool"):
+        sauc(s, [(4, 4)], np.zeros((0, 2), dtype=int))
 
 
 def test_sauc_deterministic():
@@ -222,7 +232,7 @@ def _protocol_clip(seed=0, n_frames=3):
 
 def test_protocol_copy_gt_is_upper_bound():
     clips = [_protocol_clip(0), _protocol_clip(1)]
-    table = eval_protocol(clips, "copy-gt", FRAME_SIZE, n_sets=2, set_size=4,
+    table = eval_protocol(clips, None, FRAME_SIZE, n_sets=2, set_size=4,
                           seed=0)
     assert table["Sim"] == pytest.approx(1.0, abs=1e-6)
     assert table["CC"] == pytest.approx(1.0, abs=1e-6)
@@ -233,14 +243,13 @@ def test_protocol_copy_gt_is_upper_bound():
 def test_protocol_deterministic():
     clips = [_protocol_clip(2), _protocol_clip(3)]
 
-    def predictor(clip):
-        rng = np.random.default_rng(99)
-        m = rng.random((clip["n_frames"], 49, 49))
-        return m / m.sum(axis=(1, 2), keepdims=True)
+    rng = np.random.default_rng(99)
+    preds = [rng.random((clip["n_frames"], 49, 49)) for clip in clips]
+    preds = [m / m.sum(axis=(1, 2), keepdims=True) for m in preds]
 
-    t1 = eval_protocol(clips, predictor, FRAME_SIZE, n_sets=2, set_size=3,
+    t1 = eval_protocol(clips, preds, FRAME_SIZE, n_sets=2, set_size=3,
                        seed=5)
-    t2 = eval_protocol(clips, predictor, FRAME_SIZE, n_sets=2, set_size=3,
+    t2 = eval_protocol(clips, preds, FRAME_SIZE, n_sets=2, set_size=3,
                        seed=5)
     assert t1 == t2
 
@@ -251,7 +260,7 @@ def test_protocol_single_frame_matches_single_metrics():
     rng = np.random.default_rng(11)
     pred = rng.random((1, 49, 49))
     pred /= pred.sum()
-    table = eval_protocol([clip], lambda c: pred, FRAME_SIZE, n_sets=1,
+    table = eval_protocol([clip], [pred], FRAME_SIZE, n_sets=1,
                           set_size=1, seed=0)
     h, w = FRAME_SIZE
     fx = clip["fixations"][0]
