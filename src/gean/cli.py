@@ -18,15 +18,6 @@ from .text import Vocabulary, tokenize
 GAZE_KINDS = ("learned", "uniform", "random", "central", "peripheral")
 
 
-class _UsageError(Exception):
-    pass
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _UsageError("%s\n%s" % (message, self.format_usage()))
-
-
 def _fixed(value, key=None):
     """Render a report value with 6-decimal fixed floats; a NaN or infinite
     float raises ValueError naming its key, since JSON has no such number."""
@@ -65,11 +56,10 @@ def _load_rgp(path):
     try:
         _sizing(arrays, rgp.RgpParams.NAMES, 4)
         kh, kw, cin, cp = arrays["p_in"].shape
-        cfg = rgp.RgpConfig(in_channels=cin, proj_channels=cp,
-                            hidden=arrays["u_h"].shape[-1],
-                            readout_channels=(arrays["d1"].shape[2],
-                                              arrays["d2"].shape[2],
-                                              arrays["d3"].shape[2]))
+        cfg = rgp.RgpConfig(
+            in_channels=cin, proj_channels=cp, hidden=arrays["u_h"].shape[-1],
+            readout_channels=tuple(arrays[d].shape[2]
+                                   for d in ("d1", "d2", "d3")))
         params = rgp.RgpParams.create(np.random.default_rng(0), cfg)
         params.load_state_dict(arrays)
     except GeanError as e:  # name the file, as the format errors do
@@ -107,8 +97,9 @@ def _load_decoder(ckpt_path, meta_path):
 
 
 # ---------------------------------------------------------------------------
-# Subcommands: `main` has made `args.out` and, for a command with a
-# --manifest, read the dataset into `args.dataset` and `args.frame_size`
+# Subcommands: `main` has made `args.out`; for a command with a --manifest,
+# read the dataset into `args.dataset` and `args.frame_size`; and for one
+# given --rgp, loaded the RGP parameters into `args.rgp`
 # ---------------------------------------------------------------------------
 
 def cmd_make_synthetic(args):
@@ -135,10 +126,9 @@ def cmd_train_rgp(args):
 
 
 def cmd_predict_gaze(args):
-    params = _load_rgp(args.rgp)
     index = {}
     for clip in args.dataset:
-        maps = rgp.predict_gaze(clip["motion"], params)
+        maps = rgp.predict_gaze(clip["motion"], args.rgp)
         rel = "%s_gaze.bin" % clip["id"]
         data.write_feature_file(args.out / rel, maps.astype(np.float64))
         index[clip["id"]] = rel
@@ -147,9 +137,8 @@ def cmd_predict_gaze(args):
 
 
 def cmd_train_captioner(args):
-    rgp_params = _load_rgp(args.rgp) if args.rgp else None
     params, vocab, history = decoder.train_captioner(
-        args.dataset, rgp_params, lr=args.lr, steps=args.steps, seed=args.seed,
+        args.dataset, args.rgp, lr=args.lr, steps=args.steps, seed=args.seed,
         l2_coeff=args.l2, max_len=args.max_len, lam=args.lam, gaze=args.gaze)
     data.save_checkpoint(args.out / "decoder.ckpt", params.state_dict())
     write_report(args.out / "decoder_meta.json", {"words": vocab.words[3:]})
@@ -161,11 +150,10 @@ def cmd_train_captioner(args):
 
 def cmd_caption(args):
     params, vocab = _load_decoder(args.decoder, args.decoder_meta)
-    rgp_params = _load_rgp(args.rgp) if args.rgp else None
     captions = {}
     for i, clip in enumerate(args.dataset):
         pools = decoder.build_clip_pools(
-            clip["scene"], clip["motion"], clip["fovea"], rgp_params,
+            clip["scene"], clip["motion"], clip["fovea"], args.rgp,
             args.gaze, args.lam, seed=args.seed + i)
         ids = decoder.decode_greedy(pools, params, vocab, args.max_len)
         captions[clip["id"]] = " ".join(vocab.decode(ids))
@@ -174,14 +162,8 @@ def cmd_caption(args):
 
 
 def cmd_eval_gaze(args):
-    if args.copy_gt:
-        preds = None
-    elif args.rgp:
-        params = _load_rgp(args.rgp)
-        preds = [rgp.predict_gaze(clip["motion"], params)
-                 for clip in args.dataset]
-    else:
-        raise _UsageError("eval-gaze requires --rgp or --copy-gt")
+    preds = None if args.copy_gt else [
+        rgp.predict_gaze(clip["motion"], args.rgp) for clip in args.dataset]
     table = metrics.eval_protocol(args.dataset, preds, args.frame_size,
                                   n_sets=args.protocol_sets,
                                   set_size=args.protocol_frames,
@@ -249,7 +231,7 @@ _finite = _number(float, -np.inf)
 
 
 def build_parser():
-    parser = _Parser(prog="gean", description=__doc__)
+    parser = argparse.ArgumentParser(prog="gean", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, manifest=True):
@@ -257,6 +239,15 @@ def build_parser():
             p.add_argument("--manifest", required=True)
         p.add_argument("--out", required=True, type=Path)
         p.add_argument("--seed", type=int, default=None)
+
+    def captioner(p):  # the flags train-captioner and caption share
+        common(p)
+        p.add_argument("--rgp")
+        p.add_argument("--gaze", choices=GAZE_KINDS, default="learned")
+        p.add_argument("--max-len", type=_count, default=decoder.MAX_LEN)
+        p.add_argument("--lambda", dest="lam", type=_rate,
+                       default=DEFAULT_LAMBDA)
+        p.set_defaults(error=p.error)
 
     p = sub.add_parser("make-synthetic")
     common(p, manifest=False)
@@ -277,31 +268,24 @@ def build_parser():
     p.set_defaults(func=cmd_predict_gaze)
 
     p = sub.add_parser("train-captioner")
-    common(p)
-    p.add_argument("--rgp", default=None)
-    p.add_argument("--gaze", choices=GAZE_KINDS, default="learned")
+    captioner(p)
     p.add_argument("--lr", type=_rate, default=1e-4)
     p.add_argument("--steps", type=_count, default=5000)
     p.add_argument("--l2", type=_rate, default=1e-5)
-    p.add_argument("--max-len", type=_count, default=decoder.MAX_LEN)
-    p.add_argument("--lambda", dest="lam", type=_rate, default=DEFAULT_LAMBDA)
     p.set_defaults(func=cmd_train_captioner)
 
     p = sub.add_parser("caption")
-    common(p)
-    p.add_argument("--rgp", default=None)
+    captioner(p)
     p.add_argument("--decoder", required=True)
     p.add_argument("--decoder-meta", required=True)
-    p.add_argument("--gaze", choices=GAZE_KINDS, default="learned")
-    p.add_argument("--max-len", type=_count, default=decoder.MAX_LEN)
-    p.add_argument("--lambda", dest="lam", type=_rate, default=DEFAULT_LAMBDA)
     p.set_defaults(func=cmd_caption)
 
     p = sub.add_parser("eval-gaze")
     common(p)
-    p.add_argument("--rgp", default=None)
-    p.add_argument("--copy-gt", action="store_true",
-                   help="score the GT maps against themselves")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--rgp")
+    source.add_argument("--copy-gt", action="store_true",
+                        help="score the GT maps against themselves")
     p.add_argument("--protocol-sets", type=_count, default=10)
     p.add_argument("--protocol-frames", type=_count, default=3000)
     p.set_defaults(func=cmd_eval_gaze)
@@ -320,18 +304,22 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
+    """Refuse every usage error before any file is read: argparse prints
+    the usage line and the message, and its exit becomes exit 1."""
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        if "gaze" in args and args.gaze == "learned" and not args.rgp:
+            args.error("argument --gaze: 'learned' requires --rgp")
         args.seed = resolve_seed(args.seed)
         if "manifest" in args:
             manifest, args.dataset = data.load_dataset(args.manifest)
             args.frame_size = manifest["frame_size"]
+        if "rgp" in args and args.rgp:
+            args.rgp = _load_rgp(args.rgp)
         args.out.mkdir(parents=True, exist_ok=True)
         return args.func(args)
-    except _UsageError as e:
-        print(str(e), file=sys.stderr)
-        return 1
+    except SystemExit as e:  # argparse has printed the usage and message
+        return 1 if e.code else 0
     except (GeanError, OSError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 1

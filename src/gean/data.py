@@ -175,10 +175,15 @@ def load_dataset(manifest_path):
     if len(size) != 2 or not all(type(v) is int and v > 0 for v in size):
         raise GeanError("manifest %s: field 'frame_size' is not 2 positive "
                         "integers" % path)
-    clips = []
+    clips, ids = [], set()
     for i, clip in enumerate(_field(manifest, "clips", list,
                                     "manifest %s" % path)):
         cid = _field(clip, "id", str, "manifest %s, clip %d" % (path, i))
+        if cid in ids or Path(cid).name != cid:  # ids name output files
+            raise GeanError("manifest %s, clip %d: field 'id' %r %s" % (
+                path, i, cid, "repeats" if cid in ids else
+                "is not a plain file name"))
+        ids.add(cid)
         where = "manifest %s, clip %s" % (path, cid)
         n = _field(clip, "n_frames", int, where)
         if n < 1:

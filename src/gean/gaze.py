@@ -151,13 +151,9 @@ def bilinear_upsample(m, height, width):
 
 
 def fixation_pixels(fixations, height, width):
-    """Unique (row, col) pixel locations of the fixations."""
-    seen = []
-    for rec in fixations:
-        p = (_bin(rec.y, height), _bin(rec.x, width))
-        if p not in seen:
-            seen.append(p)
-    return seen
+    """Unique (row, col) pixels of the fixations, in first-seen order."""
+    return list(dict.fromkeys((_bin(rec.y, height), _bin(rec.x, width))
+                              for rec in fixations))
 
 
 @functools.lru_cache(maxsize=8)

@@ -16,27 +16,16 @@ def tokenize(text):
 
 
 class Vocabulary:
-    """Dense token -> index map with <BOS>, <EOS>, <UNK> reserved."""
+    """Dense token -> index map with <BOS>, <EOS>, <UNK> at 0, 1 and 2."""
 
     def __init__(self, words):
         # first occurrence wins: a repeated word keeps its first index
         self.words = list(dict.fromkeys([BOS, EOS, UNK, *words]))
         self.index = {w: i for i, w in enumerate(self.words)}
+        self.bos, self.eos, self.unk = 0, 1, 2
 
     def __len__(self):
         return len(self.index)
-
-    @property
-    def bos(self):
-        return self.index[BOS]
-
-    @property
-    def eos(self):
-        return self.index[EOS]
-
-    @property
-    def unk(self):
-        return self.index[UNK]
 
     def encode(self, tokens):
         return [self.index.get(t, self.unk) for t in tokens]

@@ -11,6 +11,7 @@ CRITERIA = {
     "test_captioner_overfit": "captioner overfit to BLEU-1 = 1.0 with frozen gaze model",
     "test_ablation_direction": "ablation: learned gaze >= random and peripheral baselines",
     "test_determinism": "byte-identical reports and checkpoints per seed",
+    "test_determinism_across_processes": "byte-identical across processes at one BLAS thread; checkpoints close across thread counts",
 }
 
 

@@ -1,11 +1,16 @@
 """Acceptance gate: one test per release criterion, each enforcing its
 stated tolerance and runtime budget."""
 
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gean
 from gean import checks, data, decoder, metrics, rgp
 from gean.metrics import auc_judd
 from gean.pools import DEFAULT_LAMBDA, spatial_attention
@@ -217,3 +222,56 @@ def test_determinism(tmp_path, monkeypatch):
                 "d/make_synthetic.json", "r/rgp.ckpt", "r/train_rgp.json",
                 "g/gradcheck.json"):
         assert (one / rel).read_bytes() == (two / rel).read_bytes(), rel
+
+
+_PIPELINE = """
+import sys
+from gean.cli import main
+root = sys.argv[1]
+m = root + "/d/manifest.json"
+for argv in (["make-synthetic", "--out", root + "/d", "--clips", "2",
+              "--frames", "6"],
+             ["train-rgp", "--manifest", m, "--out", root + "/r",
+              "--steps", "3"],
+             ["train-captioner", "--manifest", m, "--out", root + "/c",
+              "--rgp", root + "/r/rgp.ckpt", "--steps", "4"]):
+    assert main(argv) == 0, argv
+"""
+
+
+def _pipeline(root, threads):
+    """make-synthetic 2x6, train-rgp 3 steps and train-captioner 4 steps
+    at seed 3, in a fresh process with `threads` BLAS threads; returns
+    every file it wrote, by path relative to `root`."""
+    paths = [str(Path(gean.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, GEAN_SEED="3", OPENBLAS_NUM_THREADS=str(threads),
+               PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    subprocess.run([sys.executable, "-c", _PIPELINE, str(root)], env=env,
+                   check=True)
+    return {f.relative_to(root): f.read_bytes()
+            for f in sorted(root.rglob("*")) if f.is_file()}
+
+
+def test_determinism_across_processes(tmp_path):
+    """Bytes repeat across processes at one BLAS thread count. Across
+    thread counts, OpenBLAS may sum in another order, so checkpoints need
+    only agree as arrays: to float32 rounding, widened by Adam, which
+    divides each gradient by its own RMS, so a rounding difference in a
+    near-zero gradient moves its weight by a fraction of a step of the
+    1e-4 learning rate. The tolerance is a tenth of one step."""
+    one = _pipeline(tmp_path / "one", 1)
+    assert len(one) > 10
+    assert one == _pipeline(tmp_path / "again", 1)
+    two = _pipeline(tmp_path / "two", 2)
+    assert set(two) == set(one)
+    for rel in one:
+        if rel.suffix == ".ckpt":
+            a = data.load_checkpoint(tmp_path / "one" / rel)
+            b = data.load_checkpoint(tmp_path / "two" / rel)
+            assert set(a) == set(b), rel
+            for name in a:
+                np.testing.assert_allclose(b[name], a[name], rtol=0,
+                                           atol=1e-5, err_msg="%s %s"
+                                           % (rel, name))
+        elif rel.parts[0] == "d":  # the data files use no BLAS product
+            assert two[rel] == one[rel], rel

@@ -136,10 +136,24 @@ def test_eval_gaze_copy_gt(dataset, tmp_path):
     assert table["CC"] == pytest.approx(1.0, abs=1e-6)
 
 
-def test_eval_gaze_requires_predictor(dataset, tmp_path):
-    rc = main(["eval-gaze", "--manifest", str(dataset),
-               "--out", str(tmp_path / "x")])
-    assert rc == 1
+def test_eval_gaze_requires_predictor(tmp_path, capsys):
+    # a flag rule is refused at parse time: the manifest, which does not
+    # exist, is never read and --out is never made
+    missing = str(tmp_path / "nope.json")
+    out = tmp_path / "x"
+    for argv, flags in [
+            (["eval-gaze"], "one of the arguments --rgp --copy-gt"),
+            (["eval-gaze", "--rgp", "r.ckpt", "--copy-gt"],
+             "argument --copy-gt: not allowed with argument --rgp"),
+            (["train-captioner"], "argument --gaze: 'learned' requires --rgp"),
+            (["caption", "--decoder", "d.ckpt", "--decoder-meta", "d.json"],
+             "argument --gaze: 'learned' requires --rgp")]:
+        rc = main(argv + ["--manifest", missing, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1, argv
+        assert err.startswith("usage: gean %s " % argv[0]) and flags in err
+        assert "No such file" not in err and "nope.json" not in err
+        assert not out.exists()
 
 
 def test_caption_workflow(dataset, tmp_path):
@@ -394,6 +408,7 @@ def test_malformed_checkpoint_exit_1(dataset, tmp_path, capsys, mutate,
     err = capsys.readouterr().err
     assert rc == 1
     assert message in err and str(path) in err and "byte offset" in err
+    assert not (tmp_path / "pred").exists()
 
 
 def _drop(key):
@@ -416,12 +431,16 @@ def _edit_clip(key, value):
     (_edit_clip("n_frames", None), "clip clip000: field 'n_frames'"),
     (_edit_clip("n_frames", "3"), "clip clip000: field 'n_frames'"),
     (_edit_clip("id", None), "clip 0: field 'id'"),
+    (_edit_clip("id", "clip001"), "clip 1: field 'id' 'clip001' repeats"),
+    (_edit_clip("id", "../../escaped"),
+     "clip 0: field 'id' '../../escaped' is not a plain file name"),
     (_edit_clip("features", {"scene": "clip000_scene.bin"}),
      "clip clip000, features: field 'motion'"),
     (_edit_clip("captions", "a caption"), "field 'captions'"),
     (_drop("frame_size"), "'frame_size'"),
     (None, "is not JSON"),
-], ids=["no-clips", "no-n-frames", "string-n-frames", "no-id",
+], ids=["no-clips", "no-n-frames", "string-n-frames", "no-id", "repeated-id",
+         "path-id",
         "no-motion-features", "string-captions", "no-frame-size",
         "not-json"])
 def test_malformed_manifest_exit_1(dataset, tmp_path, capsys, edit, message):
