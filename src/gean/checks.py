@@ -35,7 +35,7 @@ def _worst(rng, instances, build):
 
 def _op_check(op, *shapes):
     """Check of op(*params) for Parameters of these shapes, drawn in order."""
-    def check(rng, instances=20):
+    def check(rng, instances):
         def build(rng):
             params = [_param(rng, *shape) for shape in shapes]
             return (lambda: _scalarize(op(*params)), params)
@@ -48,7 +48,7 @@ def _affine_activations(W, b, x):
     return T.sigmoid(y) + T.tanh(y) + T.stanh(y)
 
 
-def check_rgp_cell(rng, instances=20):
+def check_rgp_cell(rng, instances):
     def build(rng):
         params = RgpParams.create(rng, SMALL_RGP, dtype=np.float64)
         x = Tensor(rng.standard_normal((1, 7, 7, SMALL_RGP.proj_channels)))
@@ -66,7 +66,7 @@ def _decoder_check(scalar, n_targets):
     """Check of scalar(logits, targets, params) for the logits of the span
     [0, targets[0]], with params, 3-frame pools and then n_targets word
     indices drawn in that order."""
-    def check(rng, instances=20):
+    def check(rng, instances):
         def build(rng):
             params = DecoderParams.create(rng, SMALL_DECODER,
                                           dtype=np.float64)
@@ -108,7 +108,7 @@ CHECKS = {
 }
 
 
-def gradient_report(seed=0, instances=20):
+def gradient_report(seed, instances):
     """Max relative autodiff-vs-finite-difference error per check."""
     report = {}
     for name, fn in CHECKS.items():

@@ -96,10 +96,18 @@ def _load_decoder(ckpt_path, meta_path):
     return params, vocab
 
 
+def _load_captions(path):
+    captions = data.load_json(path, "captions")
+    if not (isinstance(captions, dict)
+            and all(isinstance(c, str) for c in captions.values())):
+        raise GeanError("captions %s is not an object of strings" % path)
+    return captions
+
+
 # ---------------------------------------------------------------------------
-# Subcommands: `main` has made `args.out`; for a command with a --manifest,
-# read the dataset into `args.dataset` and `args.frame_size`; and for one
-# given --rgp, loaded the RGP parameters into `args.rgp`
+# Subcommands: `main` has made `args.out`, read --manifest into
+# `args.dataset` and `args.frame_size`, and loaded --rgp, --decoder (with
+# --decoder-meta, as (params, vocab)) and --captions in place of their paths
 # ---------------------------------------------------------------------------
 
 def cmd_make_synthetic(args):
@@ -149,7 +157,7 @@ def cmd_train_captioner(args):
 
 
 def cmd_caption(args):
-    params, vocab = _load_decoder(args.decoder, args.decoder_meta)
+    params, vocab = args.decoder
     captions = {}
     for i, clip in enumerate(args.dataset):
         pools = decoder.build_clip_pools(
@@ -173,12 +181,7 @@ def cmd_eval_gaze(args):
 
 
 def cmd_eval_captions(args):
-    captions = data.load_json(args.captions, "captions")
-    if not (isinstance(captions, dict)
-            and all(isinstance(c, str) for c in captions.values())):
-        raise GeanError("captions %s is not an object of strings"
-                        % args.captions)
-    cands = {c["id"]: tokenize(captions.get(c["id"], ""))
+    cands = {c["id"]: tokenize(args.captions.get(c["id"], ""))
              for c in args.dataset}
     refs = {c["id"]: [tokenize(r) for r in c["captions"]]
             for c in args.dataset}
@@ -238,7 +241,7 @@ def build_parser():
         if manifest:
             p.add_argument("--manifest", required=True)
         p.add_argument("--out", required=True, type=Path)
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", type=_number(int, 0), default=None)
 
     def captioner(p):  # the flags train-captioner and caption share
         common(p)
@@ -316,6 +319,10 @@ def main(argv=None):
             args.frame_size = manifest["frame_size"]
         if "rgp" in args and args.rgp:
             args.rgp = _load_rgp(args.rgp)
+        if "decoder" in args:
+            args.decoder = _load_decoder(args.decoder, args.decoder_meta)
+        if "captions" in args:
+            args.captions = _load_captions(args.captions)
         args.out.mkdir(parents=True, exist_ok=True)
         return args.func(args)
     except SystemExit as e:  # argparse has printed the usage and message

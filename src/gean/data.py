@@ -175,9 +175,11 @@ def load_dataset(manifest_path):
     if len(size) != 2 or not all(type(v) is int and v > 0 for v in size):
         raise GeanError("manifest %s: field 'frame_size' is not 2 positive "
                         "integers" % path)
+    listed = _field(manifest, "clips", list, "manifest %s" % path)
+    if not listed:
+        raise GeanError("manifest %s: field 'clips' is empty" % path)
     clips, ids = [], set()
-    for i, clip in enumerate(_field(manifest, "clips", list,
-                                    "manifest %s" % path)):
+    for i, clip in enumerate(listed):
         cid = _field(clip, "id", str, "manifest %s, clip %d" % (path, i))
         if cid in ids or Path(cid).name != cid:  # ids name output files
             raise GeanError("manifest %s, clip %d: field 'id' %r %s" % (

@@ -84,17 +84,17 @@ class DecoderState:
     """Hidden states after the last word of a span, and each channel's
     temporal attention weights for every word of that span, (L, T)."""
 
-    def __init__(self, h_att, h_m, betas=None):
+    def __init__(self, h_att, h_m, betas):
         self.h_att = h_att
         self.h_m = h_m
-        self.betas = betas or {}
+        self.betas = betas
 
     @classmethod
     def initial(cls, params):
         """Zero states, in the size and dtype of the decoder's weights."""
         u_h = params.att_u_h.data
         zero = lambda: Tensor(np.zeros(u_h.shape[0], dtype=u_h.dtype))
-        return cls(zero(), zero())
+        return cls(zero(), zero(), {})
 
 
 def gru_step(wx, h_prev, u_zr, u_h, b_zr):
@@ -155,7 +155,7 @@ def temporal_attention(pool, pool_key, h_att, params, channel):
     return u, beta
 
 
-def aggregate(u_s, u_m, u_f, h_att, params, dropout_on=False, rng=None):
+def aggregate(u_s, u_m, u_f, h_att, params, dropout_on, rng):
     """Gated fusion q = stanh(([Ws u_s || Wm u_m || Wf u_f] + b_g) *
     (U_g h_att)) for L words, (agg, L); inverted dropout on the output
     when training."""
@@ -210,7 +210,7 @@ def decode_step(state, keys, words, params, dropout_on=False, rng=None):
     return logits, DecoderState(last_att, last_m, betas)
 
 
-def decode_greedy(pools, params, vocab, max_len=MAX_LEN):
+def decode_greedy(pools, params, vocab, max_len):
     """Greedy argmax decoding from <BOS>, one one-word span per step;
     stops at <EOS> or max_len."""
     with no_grad():
@@ -233,7 +233,7 @@ def l2_penalty(params, coeff):
     return coeff * reduce(T.add, map(T.sumsq, params.weight_matrices()))
 
 
-def caption_loss(logits, targets, params, l2_coeff=0.0):
+def caption_loss(logits, targets, params, l2_coeff):
     """Mean cross-entropy of (V, L) logits against L targets, one
     log_softmax over the vocabulary axis and one gather, plus l2 over
     weight matrices."""
@@ -251,8 +251,8 @@ def caption_loss(logits, targets, params, l2_coeff=0.0):
     return loss
 
 
-def teacher_forced_loss(pools, token_ids, params, vocab, l2_coeff=0.0,
-                        dropout_on=False, rng=None, max_len=MAX_LEN):
+def teacher_forced_loss(pools, token_ids, params, vocab, l2_coeff,
+                        dropout_on, rng, max_len=MAX_LEN):
     """Teacher forcing over <BOS> w1..wL with targets w1..wL <EOS>, as one
     decode_step span."""
     token_ids = list(token_ids)[:max_len]
@@ -264,8 +264,8 @@ def teacher_forced_loss(pools, token_ids, params, vocab, l2_coeff=0.0,
     return caption_loss(logits, token_ids + [vocab.eos], params, l2_coeff)
 
 
-def build_clip_pools(scene, motion, fovea, rgp_params=None, gaze="learned",
-                     lam=DEFAULT_LAMBDA, seed=0):
+def build_clip_pools(scene, motion, fovea, rgp_params, gaze,
+                     lam=DEFAULT_LAMBDA, *, seed):
     """Per-clip feature pools; motion/fovea frames are gaze-weighted.
 
     gaze: 'learned' (needs rgp_params) or a fixed_gaze kind.

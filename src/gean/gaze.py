@@ -68,7 +68,7 @@ def _bin(coord, n):
     return min(int(np.floor(coord * n)), n - 1)
 
 
-def build_fixation_map(fixations, height=GRID, width=GRID):
+def build_fixation_map(fixations, height, width):
     """Binary (height, width) map with a 1 at each fixation's cell."""
     if not fixations:
         raise GeanError("frame has no fixations")

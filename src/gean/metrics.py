@@ -59,7 +59,7 @@ def auc_judd(saliency, fixations):
     return float(_auc(saliency[mask], [saliency[~mask]])[0])
 
 
-def sauc(saliency, fixations, shuffle_pool, n_splits=10, seed=0):
+def sauc(saliency, fixations, shuffle_pool, n_splits=10, *, seed):
     """Shuffled AUC: negatives drawn from fixations of other stimuli, the
     (row, col) pixels of `shuffle_pool`, once per split."""
     saliency = np.asarray(saliency, dtype=np.float64)
@@ -76,8 +76,7 @@ def sauc(saliency, fixations, shuffle_pool, n_splits=10, seed=0):
     return float(np.mean(_auc(pos, saliency[drawn[..., 0], drawn[..., 1]])))
 
 
-def eval_protocol(clips, preds, frame_size, n_sets=10, set_size=3000,
-                  seed=0):
+def eval_protocol(clips, preds, frame_size, n_sets, set_size, seed):
     """Sampled gaze-evaluation protocol.
 
     Draws `n_sets` uniform random sets of `set_size` eligible frames,
@@ -170,7 +169,7 @@ def bleu(candidate, references, n=4):
     return corpus_bleu([candidate], [references], n)
 
 
-def corpus_bleu(candidates, references_list, n=4):
+def corpus_bleu(candidates, references_list, n):
     """Corpus-level BLEU-n with aggregated counts and lengths."""
     clipped = np.zeros(n)
     total = np.zeros(n)

@@ -9,16 +9,19 @@ from .errors import GeanError
 SEED_ENV = "GEAN_SEED"
 
 
-def resolve_seed(seed=None):
+def resolve_seed(seed):
     """The GEAN_SEED env var if set (it overrides an explicit seed), else
     the explicit seed, else 0."""
     env = os.environ.get(SEED_ENV)
     if env is None:
         return 0 if seed is None else int(seed)
     try:
-        return int(env)
+        value = int(env)
     except ValueError:
         raise GeanError("%s=%r is not an integer" % (SEED_ENV, env)) from None
+    if value < 0:
+        raise GeanError("%s=%r is negative" % (SEED_ENV, env))
+    return value
 
 
 def finite_loss(loss, step):
@@ -41,7 +44,7 @@ BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # the defaults of arXiv:1412.6980
 class AdamState:
     """Adam with bias correction; moments live per parameter by name."""
 
-    def __init__(self, lr=1e-4):
+    def __init__(self, lr):
         if not (np.isfinite(lr) and lr >= 0):
             raise GeanError("learning rate must be >= 0 and finite, got %g"
                             % lr)
@@ -100,7 +103,7 @@ class AdamState:
             p.fresh = True
 
 
-def init_xavier(shape, rng, dtype=np.float64):
+def init_xavier(shape, rng, dtype):
     """Uniform in +/- sqrt(6 / (fan_in + fan_out)).
 
     Matrices (out, in); conv kernels (kh, kw, cin, cout).
@@ -120,7 +123,7 @@ def init_xavier(shape, rng, dtype=np.float64):
     return rng.uniform(-bound, bound, size=shape).astype(dtype)
 
 
-def init_orthogonal(shape, rng, dtype=np.float64):
+def init_orthogonal(shape, rng, dtype):
     """Matrix with orthonormal rows or columns via sign-corrected QR."""
     rows, cols = shape
     flat = rng.standard_normal((max(rows, cols), min(rows, cols)))

@@ -15,7 +15,7 @@ POOL_MOTION = 35
 POOL_FOVEA = 35
 
 
-def spatial_attention(g, lam=DEFAULT_LAMBDA):
+def spatial_attention(g, lam):
     """7x7 attention map: average-pool the 49x49 gaze map with a 7x7
     kernel, add a uniform distribution of strength lam, l1-normalize."""
     g = np.asarray(g, dtype=np.float64)
@@ -55,7 +55,7 @@ def build_pool(vectors, n_max):
     return vectors[pool_indices(len(vectors), n_max)]
 
 
-def fixed_gaze(kind, seed=0):
+def fixed_gaze(kind, seed):
     """Fixed 7x7 attention baselines replacing the learned gaze.
 
     uniform: 1/49 everywhere. random: blurred one-hot at a seed-chosen

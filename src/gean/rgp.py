@@ -35,7 +35,7 @@ class RgpParams(ParameterSet):
     NAMES = ("p_in", "w_zrh", "u_zr", "u_h", "d1", "d2", "d3", "r")
 
     @classmethod
-    def create(cls, rng, config=None, dtype=np.float32):
+    def create(cls, rng, config, dtype=np.float32):
         cfg = config or RgpConfig()
         ci, cp, ch = cfg.in_channels, cfg.proj_channels, cfg.hidden
         c1, c2, c3 = cfg.readout_channels

@@ -156,8 +156,8 @@ class Parameter(Tensor):
 
     __slots__ = ("name", "l2")
 
-    def __init__(self, name, value, dtype=None):
-        super().__init__(value, requires_grad=True, dtype=dtype)
+    def __init__(self, name, value):
+        super().__init__(value, requires_grad=True)
         self.name, self.l2 = name, 0.0
 
     @property
@@ -385,7 +385,7 @@ def concat(tensors, axis=0):
     return _make(data, backward, any(t.requires_grad for t in tensors))
 
 
-def stack(tensors, axis=0):
+def stack(tensors, axis):
     tensors = [_as_tensor(t) for t in tensors]
     data = np.stack([t.data for t in tensors], axis=axis)
 
@@ -594,7 +594,7 @@ def conv2d(x, kernel, stride=1, pad=0):
     return _make(out, backward, x.requires_grad or kernel.requires_grad)
 
 
-def conv_transpose2d(x, kernel, stride=1, pad=0):
+def conv_transpose2d(x, kernel, stride, pad):
     """Transposed convolution, the adjoint of conv2d.
 
     x: (N,H,W,Cin); kernel: (kh,kw,Cout,Cin).

@@ -49,7 +49,7 @@ def _bleu1(clips, dparams, vocab, rgp_params, gaze):
             clip["scene"], clip["motion"], clip["fovea"], rgp_params, gaze,
             seed=SEED + i)
         pools = {k: Tensor(v.astype(np.float32)) for k, v in pools.items()}
-        ids = decoder.decode_greedy(pools, dparams, vocab)
+        ids = decoder.decode_greedy(pools, dparams, vocab, decoder.MAX_LEN)
         cands.append(vocab.decode(ids))
         refs.append([tokenize(c) for c in clip["captions"]])
     return metrics.corpus_bleu(cands, refs, 1)

@@ -76,8 +76,10 @@ def test_non_positive_count_flag_exit_1(dataset, tmp_path, capsys, argv):
     (["caption", "--decoder", "d.ckpt", "--decoder-meta", "d.json",
       "--gaze", "uniform", "--lambda", "nan"],
      "--lambda: must be finite, got nan"),
+    (["train-captioner", "--seed", "-1"], "--seed: must be at least 0, got -1"),
 ], ids=["l2-negative", "l2-nan", "l2-inf", "lr-nan", "lr-inf", "lambda-nan",
-        "rgp-lr-nan", "rgp-lr-inf", "target-loss-nan", "caption-lambda-nan"])
+        "rgp-lr-nan", "rgp-lr-inf", "target-loss-nan", "caption-lambda-nan",
+        "seed-negative"])
 def test_bad_float_flag_exit_1(dataset, tmp_path, capsys, argv, message):
     # two steps of uniform-gaze training, so that a run that gets past the
     # parser ends quickly and without needing an RGP checkpoint
@@ -378,11 +380,15 @@ def test_seed_env_overrides_flag(dataset, tmp_path, monkeypatch):
 
 
 def test_malformed_seed_env_exit_1(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("GEAN_SEED", "abc")
-    rc = main(["make-synthetic", "--out", str(tmp_path / "d"),
-               "--clips", "1", "--frames", "1"])
-    assert rc == 1
-    assert "GEAN_SEED='abc' is not an integer" in capsys.readouterr().err
+    for value, message in (("abc", "is not an integer"),
+                           ("-5", "is negative")):
+        monkeypatch.setenv("GEAN_SEED", value)
+        rc = main(["make-synthetic", "--out", str(tmp_path / "d"),
+                   "--clips", "1", "--frames", "1"])
+        assert rc == 1
+        assert ("GEAN_SEED=%r %s" % (value, message)
+                in capsys.readouterr().err)
+        assert not (tmp_path / "d").exists()
 
 
 def _copy_dataset(dataset, tmp_path):
@@ -428,6 +434,7 @@ def _edit_clip(key, value):
 
 @pytest.mark.parametrize("edit, message", [
     (_drop("clips"), "field 'clips'"),
+    (lambda manifest: manifest.update(clips=[]), "field 'clips' is empty"),
     (_edit_clip("n_frames", None), "clip clip000: field 'n_frames'"),
     (_edit_clip("n_frames", "3"), "clip clip000: field 'n_frames'"),
     (_edit_clip("id", None), "clip 0: field 'id'"),
@@ -439,10 +446,9 @@ def _edit_clip(key, value):
     (_edit_clip("captions", "a caption"), "field 'captions'"),
     (_drop("frame_size"), "'frame_size'"),
     (None, "is not JSON"),
-], ids=["no-clips", "no-n-frames", "string-n-frames", "no-id", "repeated-id",
-         "path-id",
-        "no-motion-features", "string-captions", "no-frame-size",
-        "not-json"])
+], ids=["no-clips", "empty-clips", "no-n-frames", "string-n-frames", "no-id",
+        "repeated-id", "path-id", "no-motion-features", "string-captions",
+        "no-frame-size", "not-json"])
 def test_malformed_manifest_exit_1(dataset, tmp_path, capsys, edit, message):
     root = _copy_dataset(dataset, tmp_path)
     path = root / "manifest.json"
@@ -520,6 +526,7 @@ def test_malformed_decoder_meta_exit_1(dataset, tmp_path, capsys, meta,
     err = capsys.readouterr().err
     assert rc == 1
     assert message in err and str(path) in err
+    assert not (tmp_path / "caps").exists()
 
 
 @pytest.mark.parametrize("text, message", [
@@ -535,3 +542,4 @@ def test_malformed_captions_exit_1(dataset, tmp_path, capsys, text, message):
     err = capsys.readouterr().err
     assert rc == 1
     assert message in err and str(path) in err
+    assert not (tmp_path / "o").exists()

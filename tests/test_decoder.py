@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from gean import tensor as T
-from gean.decoder import (CHANNELS, DROPOUT, DecoderConfig, DecoderParams,
-                          DecoderState, attention_keys, build_clip_pools,
+from gean.decoder import (CHANNELS, DROPOUT, MAX_LEN, DecoderConfig,
+                          DecoderParams, DecoderState, attention_keys,
+                          build_clip_pools,
                           caption_loss, decode_greedy, decode_step, gru_step,
                           l2_penalty, teacher_forced_loss, temporal_attention)
 from gean.errors import GeanError
@@ -226,7 +227,7 @@ def test_greedy_eos_immediately_empty():
     params = make_params(zero=True)
     vocab = _vocab()
     params.params["b_out"].data[vocab.eos] = 10.0
-    assert decode_greedy(make_pools(), params, vocab) == []
+    assert decode_greedy(make_pools(), params, vocab, MAX_LEN) == []
 
 
 def test_greedy_length_cap():
@@ -277,19 +278,20 @@ def test_caption_loss_zero_params_ln_v():
     params = make_params(zero=True)
     pools = make_pools()
     vocab = _vocab()
-    loss = teacher_forced_loss(pools, [3, 4], params, vocab, l2_coeff=0.0)
+    loss = teacher_forced_loss(pools, [3, 4], params, vocab, l2_coeff=0.0,
+                               dropout_on=False, rng=None)
     assert loss.item() == pytest.approx(np.log(CFG.vocab_size), abs=1e-9)
 
 
 def test_caption_loss_empty_targets():
     with pytest.raises(GeanError, match="empty ground-truth sequence"):
-        caption_loss([], [], make_params())
+        caption_loss([], [], make_params(), l2_coeff=0.0)
 
 
 def test_caption_loss_rejects_length_mismatch():
     with pytest.raises(GeanError, match="for 3 targets"):
         caption_loss(Tensor(np.zeros((CFG.vocab_size, 2))), [1, 2, 3],
-                     make_params())
+                     make_params(), l2_coeff=0.0)
 
 
 def test_l2_term_added():
@@ -310,7 +312,7 @@ def test_build_clip_pools_fixed_gaze_shapes():
     scene = rng.standard_normal((n, 8))
     motion = rng.standard_normal((n, 7, 7, 8))
     fovea = rng.standard_normal((n, 7, 7, 8))
-    pools = build_clip_pools(scene, motion, fovea, gaze="uniform")
+    pools = build_clip_pools(scene, motion, fovea, None, "uniform", seed=0)
     assert pools["scene"].shape == (POOL_SCENE, 8)
     assert pools["motion"].shape == (POOL_MOTION, 8)
     assert pools["fovea"].shape == (POOL_FOVEA, 8)
@@ -325,7 +327,7 @@ def test_build_clip_pools_learned_requires_rgp():
         build_clip_pools(rng.standard_normal((2, 8)),
                          rng.standard_normal((2, 7, 7, 8)),
                          rng.standard_normal((2, 7, 7, 8)),
-                         gaze="learned")
+                         None, "learned", seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +508,8 @@ def test_span_keeps_every_words_betas():
         logits, state = decode_step(DecoderState.initial(params),
                                     attention_keys(pools, params), words,
                                     params, True, np.random.default_rng(37))
-        tape.backward(caption_loss(logits, words[1:] + [vocab.eos], params))
+        tape.backward(caption_loss(logits, words[1:] + [vocab.eos], params,
+                                   l2_coeff=0.0))
     assert logits.shape == (CFG.vocab_size, len(words))
     assert set(state.betas) == set(CHANNELS)
     for beta in state.betas.values():

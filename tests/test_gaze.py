@@ -6,9 +6,9 @@ import pytest
 from scipy.ndimage import correlate1d
 
 from gean.errors import GeanError
-from gean.gaze import (FixationRecord, bilinear_upsample, build_fixation_map,
-                       fixation_pixels, gaussian_blur, gaussian_kernel_1d,
-                       gt_eval_map, make_training_target,
+from gean.gaze import (GRID, FixationRecord, bilinear_upsample,
+                       build_fixation_map, fixation_pixels, gaussian_blur,
+                       gaussian_kernel_1d, gt_eval_map, make_training_target,
                        mirror_augment, normalize_l1, normalize_minmax,
                        pred_eval_map, read_fixations, write_fixations)
 
@@ -22,24 +22,25 @@ def fix(frame, subject, x, y):
 # ---------------------------------------------------------------------------
 
 def test_center_fixation_bin():
-    m = build_fixation_map([fix(0, 0, 0.5, 0.5)])
+    m = build_fixation_map([fix(0, 0, 0.5, 0.5)], GRID, GRID)
     assert m.sum() == 1.0
     assert m[24, 24] == 1.0
 
 
 def test_boundary_fixation_clamped():
-    m = build_fixation_map([fix(0, 0, 1.0, 1.0)])
+    m = build_fixation_map([fix(0, 0, 1.0, 1.0)], GRID, GRID)
     assert m[48, 48] == 1.0
 
 
 def test_two_subjects_two_cells():
-    m = build_fixation_map([fix(0, 0, 0.1, 0.1), fix(0, 1, 0.9, 0.9)])
+    m = build_fixation_map([fix(0, 0, 0.1, 0.1), fix(0, 1, 0.9, 0.9)],
+                           GRID, GRID)
     assert m.sum() == 2.0
 
 
 def test_no_fixations_raises():
     with pytest.raises(GeanError, match="frame has no fixations"):
-        build_fixation_map([])
+        build_fixation_map([], GRID, GRID)
 
 
 # ---------------------------------------------------------------------------

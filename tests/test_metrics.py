@@ -201,7 +201,7 @@ def test_sauc_array_pool_equals_list_pool():
     assert (sauc(s, [(4, 4), (2, 7)], pool, seed=3)
             == sauc(s, [(4, 4), (2, 7)], as_list, seed=3))
     with pytest.raises(GeanError, match="non-empty shuffle pool"):
-        sauc(s, [(4, 4)], np.zeros((0, 2), dtype=int))
+        sauc(s, [(4, 4)], np.zeros((0, 2), dtype=int), seed=0)
 
 
 def test_sauc_deterministic():

@@ -44,17 +44,17 @@ def test_adam_zero_lr_is_noop():
 
 
 def test_orthogonal_init():
-    q = init_orthogonal((4, 4), np.random.default_rng(0))
+    q = init_orthogonal((4, 4), np.random.default_rng(0), np.float64)
     np.testing.assert_allclose(q.T @ q, np.eye(4), atol=1e-10)
 
 
 def test_orthogonal_rectangular():
-    q = init_orthogonal((6, 3), np.random.default_rng(1))
+    q = init_orthogonal((6, 3), np.random.default_rng(1), np.float64)
     np.testing.assert_allclose(q.T @ q, np.eye(3), atol=1e-10)
 
 
 def test_xavier_bound():
-    w = init_xavier((30, 20), np.random.default_rng(2))
+    w = init_xavier((30, 20), np.random.default_rng(2), np.float64)
     bound = np.sqrt(6.0 / 50.0)
     assert np.all(np.abs(w) <= bound)
 
@@ -263,8 +263,8 @@ def test_grad_assigned_after_step_is_added_to(accumulates):
 
 def test_float64_product_into_float32_parameter_falls_back(accumulates):
     rng = np.random.default_rng(32)
-    (P,) = _stepped(Parameter("P", rng.standard_normal((3, 4)),
-                              dtype=np.float32))
+    (P,) = _stepped(Parameter("P",
+                              rng.standard_normal((3, 4)).astype(np.float32)))
     x, c = rng.standard_normal((4, 2)), rng.standard_normal((3, 2))
     with Tape() as tape:
         out = T.matmul(P, Tensor(x))
