@@ -317,6 +317,12 @@ def main(argv=None):
         if "manifest" in args:
             manifest, args.dataset = data.load_dataset(args.manifest)
             args.frame_size = manifest["frame_size"]
+        if args.func in (cmd_train_captioner, cmd_eval_captions):
+            for clip in args.dataset:
+                if not clip["captions"]:
+                    raise GeanError("manifest %s, clip %s: field 'captions' "
+                                    "is missing or empty"
+                                    % (args.manifest, clip["id"]))
         if "rgp" in args and args.rgp:
             args.rgp = _load_rgp(args.rgp)
         if "decoder" in args:

@@ -22,6 +22,7 @@ import numpy as np
 from .errors import FormatError, GeanError
 from .gaze import GRID, FixationRecord, make_training_target, \
     read_fixations, write_fixations
+from .text import tokenize
 
 # Every clip's motion and fovea features are FEATURE_GRID x FEATURE_GRID
 # cells of FEATURE_DIM channels per frame; scene features one such vector.
@@ -204,6 +205,9 @@ def load_dataset(manifest_path):
         captions = _field(clip, "captions", list, where, optional=True) or []
         if not all(isinstance(c, str) for c in captions):
             raise GeanError("%s: field 'captions' holds a non-string" % where)
+        if not all(map(tokenize, captions)):
+            raise GeanError("%s: field 'captions' holds a caption with no "
+                            "word" % where)
         out["captions"] = captions
         out["fixations"] = {}
         rel = _field(clip, "fixations", str, where, optional=True)

@@ -9,7 +9,6 @@ import numpy as np
 
 from . import tensor as T
 from .data import FEATURE_DIM
-from .errors import GeanError
 from .optim import AdamState, finite_loss, init_orthogonal, init_xavier
 from .pools import (DEFAULT_LAMBDA, POOL_FOVEA, POOL_MOTION, POOL_SCENE,
                     attend_features, build_pool, fixed_gaze, spatial_attention)
@@ -77,7 +76,7 @@ class DecoderParams(ParameterSet):
         add("u_g", xavier(cfg.agg_dim, h))
         add("w_out", xavier(v, h))
         add("b_out", zero(v))
-        return cls(params, cfg)
+        return cls(params)
 
 
 class DecoderState:
@@ -169,23 +168,6 @@ def aggregate(u_s, u_m, u_f, h_att, params, dropout_on, rng):
     return T.transpose(T.dropout(T.transpose(q), DROPOUT, rng, dropout_on))
 
 
-def _span(words, vocab_size):
-    """The span as a 1-D integer array; GeanError naming the first
-    word outside the vocabulary by its position and index."""
-    words = np.asarray(words)
-    if words.ndim != 1 or words.size == 0:
-        raise GeanError("decode_step needs a non-empty 1-D span of "
-                        "words, got shape %s" % (words.shape,))
-    if not np.issubdtype(words.dtype, np.integer):
-        raise GeanError("span words must be integer indices, got %s"
-                        % words.dtype)
-    bad = np.flatnonzero((words < 0) | (words >= vocab_size))
-    if bad.size:
-        raise GeanError("span word %d has index %d, outside the vocabulary "
-                        "of %d" % (bad[0], words[bad[0]], vocab_size))
-    return words
-
-
 def decode_step(state, keys, words, params, dropout_on=False, rng=None):
     """Run the decoder over a span of L >= 1 known input words: embed them,
     update the attention GRU, attend each pool (`keys` from
@@ -195,7 +177,6 @@ def decode_step(state, keys, words, params, dropout_on=False, rng=None):
     runs once for the whole span. Returns the (V, L) logits, column l
     scoring the word after words[l], and the state after the last word.
     """
-    words = _span(words, params.config.vocab_size)
     emb = T.column(params.embedding, words)
     h_att, last_att = _gru(params, "att", emb, state.h_att)
     attended = {}
@@ -238,11 +219,6 @@ def caption_loss(logits, targets, params, l2_coeff):
     log_softmax over the vocabulary axis and one gather, plus l2 over
     weight matrices."""
     n = len(targets)
-    if not n:
-        raise GeanError("empty ground-truth sequence")
-    if logits.ndim != 2 or logits.shape[1] != n:
-        raise GeanError("logits of shape %s for %d targets"
-                        % (logits.shape, n))
     picked = T.index(T.log_softmax(logits, axis=0),
                      (np.asarray(targets), np.arange(n)))
     loss = (-1.0 / n) * T.tensor_sum(picked)
@@ -256,8 +232,6 @@ def teacher_forced_loss(pools, token_ids, params, vocab, l2_coeff,
     """Teacher forcing over <BOS> w1..wL with targets w1..wL <EOS>, as one
     decode_step span."""
     token_ids = list(token_ids)[:max_len]
-    if not token_ids:
-        raise GeanError("empty ground-truth sequence")
     state = DecoderState.initial(params)
     logits, _ = decode_step(state, attention_keys(pools, params),
                             [vocab.bos] + token_ids, params, dropout_on, rng)
@@ -271,8 +245,6 @@ def build_clip_pools(scene, motion, fovea, rgp_params, gaze,
     gaze: 'learned' (needs rgp_params) or a fixed_gaze kind.
     """
     if gaze == "learned":
-        if rgp_params is None:
-            raise GeanError("learned gaze requires RGP parameters")
         maps = predict_gaze(motion, rgp_params)
         alphas = [spatial_attention(m, lam) for m in maps]
     else:
@@ -291,8 +263,6 @@ def train_captioner(dataset, rgp_params, *, lr, steps, seed, l2_coeff,
                     max_len, lam, gaze):
     """Train the decoder on (pools, caption) pairs with the gaze model
     frozen. Returns (params, vocab, loss history)."""
-    if not dataset:
-        raise GeanError("empty dataset")
     rng = np.random.default_rng(seed)
 
     vocab = build_vocab([c for clip in dataset for c in clip["captions"]])

@@ -70,8 +70,6 @@ def _bin(coord, n):
 
 def build_fixation_map(fixations, height, width):
     """Binary (height, width) map with a 1 at each fixation's cell."""
-    if not fixations:
-        raise GeanError("frame has no fixations")
     m = np.zeros((height, width))
     for rec in fixations:
         m[_bin(rec.y, height), _bin(rec.x, width)] = 1.0
@@ -102,21 +100,14 @@ def _blur_matrix(n, sigma):
 def gaussian_blur(m, sigma):
     """Separable Gaussian blur, kernel truncated at ceil(3*sigma), zero pad,
     as one banded matrix per axis: B_h @ m @ B_w^T."""
-    if sigma < 0:
-        raise GeanError("sigma must be >= 0, got %g" % sigma)
     m = np.asarray(m, dtype=np.float64)
-    if sigma == 0:
-        return m.copy()
     h, w = m.shape
     return _blur_matrix(h, sigma) @ m @ _blur_matrix(w, sigma).T
 
 
 def normalize_l1(m):
     m = np.asarray(m, dtype=np.float64)
-    s = m.sum()
-    if s <= 0:
-        raise GeanError("cannot l1-normalize a map with sum %g" % s)
-    return m / s
+    return m / m.sum()
 
 
 def normalize_minmax(m):
@@ -180,8 +171,6 @@ def pred_eval_map(pred, height, width):
 
 def gt_eval_map(fixations, height, width):
     """Subject-averaged binary fixation maps -> blur sigma=19 -> min-max."""
-    if not fixations:
-        raise GeanError("frame has no fixations")
     subjects = defaultdict(list)
     for rec in fixations:
         subjects[rec.subject].append(rec)

@@ -45,9 +45,6 @@ class AdamState:
     """Adam with bias correction; moments live per parameter by name."""
 
     def __init__(self, lr):
-        if not (np.isfinite(lr) and lr >= 0):
-            raise GeanError("learning rate must be >= 0 and finite, got %g"
-                            % lr)
         self.lr = float(lr)
         self.t = 0
         self.m = {}
@@ -113,12 +110,10 @@ def init_xavier(shape, rng, dtype):
         fan_in = fan_out = shape[0]
     elif len(shape) == 2:
         fan_out, fan_in = shape
-    elif len(shape) == 4:
+    else:
         kh, kw, cin, cout = shape
         fan_in = kh * kw * cin
         fan_out = kh * kw * cout
-    else:
-        raise GeanError("unsupported shape for xavier init: %s" % (shape,))
     bound = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=shape).astype(dtype)
 

@@ -5,7 +5,6 @@ baselines (uniform / random / central / peripheral)."""
 import numpy as np
 
 from .data import FEATURE_GRID
-from .errors import GeanError
 from .gaze import GRID, gaussian_blur, normalize_l1
 
 DEFAULT_LAMBDA = 0.6
@@ -19,10 +18,6 @@ def spatial_attention(g, lam):
     """7x7 attention map: average-pool the 49x49 gaze map with a 7x7
     kernel, add a uniform distribution of strength lam, l1-normalize."""
     g = np.asarray(g, dtype=np.float64)
-    if g.shape != (GRID, GRID):
-        raise GeanError("gaze map must be 49x49, got %s" % (g.shape,))
-    if lam < 0:
-        raise GeanError("lambda must be >= 0, got %g" % lam)
     k = GRID // FEATURE_GRID
     pooled = g.reshape(FEATURE_GRID, k, FEATURE_GRID, k).mean(axis=(1, 3))
     alpha = pooled + lam / FEATURE_GRID ** 2  # pooled sums to (sum g)/49
@@ -32,17 +27,11 @@ def spatial_attention(g, lam):
 def attend_features(alpha, features):
     """Weighted sum over the 7x7 grid: v[k] = sum_ij alpha[i,j] f[i,j,k]."""
     alpha = np.asarray(alpha, dtype=np.float64)
-    features = np.asarray(features)
-    if alpha.shape != features.shape[:2]:
-        raise GeanError("attention %s does not match feature grid %s"
-                        % (alpha.shape, features.shape))
     return np.tensordot(alpha, features, axes=([0, 1], [0, 1]))
 
 
 def pool_indices(n, n_max):
     """Frame indices used to fit n frames into an n_max-length pool."""
-    if n < 1:
-        raise GeanError("cannot build a pool from zero frames")
     if n < n_max:
         return [i % n for i in range(n_max)]
     return [(i * n) // n_max for i in range(n_max)]
@@ -67,10 +56,8 @@ def fixed_gaze(kind, seed):
     if kind == "random":
         rng = np.random.default_rng(seed)
         r, c = rng.integers(0, FEATURE_GRID, size=2)
-    elif kind in ("central", "peripheral"):
+    else:  # central or peripheral
         r = c = FEATURE_GRID // 2
-    else:
-        raise GeanError("unknown fixed gaze kind %r" % (kind,))
     onehot = np.zeros((FEATURE_GRID, FEATURE_GRID))
     onehot[r, c] = 1.0
     smoothed = normalize_l1(gaussian_blur(onehot, FIXED_GAZE_SIGMA))

@@ -53,7 +53,7 @@ class RgpParams(ParameterSet):
             "d1": xavier((4, 4, c1, ch)), "d2": xavier((4, 4, c2, c1)),
             "d3": xavier((4, 4, c3, c2)), "r": xavier((1, 1, c3, 1)),
         }
-        return cls({n: Parameter(n, a) for n, a in arrays.items()}, cfg)
+        return cls({n: Parameter(n, a) for n, a in arrays.items()})
 
 
 def gru_update(wx, zr_rec, h_prev, candidate_rec):
@@ -104,13 +104,11 @@ def rgp_forward_scores(features, params):
     """
     x = (features if isinstance(features, Tensor)
          else Tensor(features, dtype=params.p_in.data.dtype))
-    if x.ndim != 4 or x.shape[0] < 1:
-        raise GeanError("expected a non-empty (N,7,7,C) feature sequence")
     n = x.shape[0]
     proj = T.conv2d(x, params.p_in)
     wx_all = T.conv2d(proj, params.w_zrh, stride=1, pad=1)
-    h = Tensor(np.zeros((1, FEATURE_GRID, FEATURE_GRID, params.config.hidden),
-                        dtype=x.data.dtype))
+    h = Tensor(np.zeros((1, FEATURE_GRID, FEATURE_GRID,
+                         params.u_h.shape[-1]), dtype=x.data.dtype))
     states = []
     for t in range(n):
         h = rgp_cell_step(T.narrow(wx_all, 0, t, 1), h, params)
@@ -130,8 +128,6 @@ def predict_gaze(features, params):
 def _loss_weights(gts, mask):
     gts = np.asarray(gts, dtype=np.float64)
     mask = np.asarray(mask, dtype=bool)
-    if gts.shape[0] != mask.shape[0]:
-        raise GeanError("targets and mask length mismatch")
     kept = int(mask.sum())
     if kept == 0:
         raise GeanError("all frames masked out of the gaze loss")
@@ -157,8 +153,6 @@ def target_entropy(dataset):
                 nz = g[g > 0]
                 total += float(-(nz * np.log(nz)).sum())
                 count += 1
-    if count == 0:
-        raise GeanError("dataset has no unmasked frames")
     return total / count
 
 
@@ -167,8 +161,6 @@ def train_rgp(dataset, *, lr, steps, seed, target_loss, model_config=None):
     horizontal-mirroring augmentation. A `target_loss` that is not None
     stops training once a pass over the dataset averages at most it.
     Returns (params, loss history)."""
-    if not dataset:
-        raise GeanError("empty dataset")
     rng = np.random.default_rng(seed)
     params = RgpParams.create(rng, model_config)
     opt = AdamState(lr=lr)

@@ -176,12 +176,11 @@ class Parameter(Tensor):
 
 
 class ParameterSet:
-    """A model's Parameters keyed by name, plus its config; each Parameter
-    is also an attribute (`params.b_out`). Subclasses define `create`."""
+    """A model's Parameters keyed by name; each Parameter is also an
+    attribute (`params.b_out`). Subclasses define `create`."""
 
-    def __init__(self, params, config):
+    def __init__(self, params):
         self.params = params
-        self.config = config
 
     def __getattr__(self, name):
         params = self.__dict__["params"]

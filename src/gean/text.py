@@ -2,8 +2,6 @@
 
 import re
 
-from .errors import GeanError
-
 BOS = "<BOS>"
 EOS = "<EOS>"
 UNK = "<UNK>"
@@ -36,8 +34,5 @@ class Vocabulary:
 
 def build_vocab(captions):
     """Vocabulary over a caption corpus; rare words are retained."""
-    vocab = Vocabulary(tok for caption in captions
-                       for tok in tokenize(caption))
-    if len(vocab) == 3:  # only <BOS>, <EOS>, <UNK>
-        raise GeanError("empty caption corpus")
-    return vocab
+    return Vocabulary(tok for caption in captions
+                      for tok in tokenize(caption))

@@ -444,11 +444,13 @@ def _edit_clip(key, value):
     (_edit_clip("features", {"scene": "clip000_scene.bin"}),
      "clip clip000, features: field 'motion'"),
     (_edit_clip("captions", "a caption"), "field 'captions'"),
+    (_edit_clip("captions", ["a box", "..."]),
+     "clip clip000: field 'captions' holds a caption with no word"),
     (_drop("frame_size"), "'frame_size'"),
     (None, "is not JSON"),
 ], ids=["no-clips", "empty-clips", "no-n-frames", "string-n-frames", "no-id",
         "repeated-id", "path-id", "no-motion-features", "string-captions",
-        "no-frame-size", "not-json"])
+        "wordless-caption", "no-frame-size", "not-json"])
 def test_malformed_manifest_exit_1(dataset, tmp_path, capsys, edit, message):
     root = _copy_dataset(dataset, tmp_path)
     path = root / "manifest.json"
@@ -463,6 +465,36 @@ def test_malformed_manifest_exit_1(dataset, tmp_path, capsys, edit, message):
     err = capsys.readouterr().err
     assert rc == 1
     assert message in err and str(path) in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv, captions", [
+    (["eval-captions", "--captions", "{captions}"], None),
+    (["train-captioner", "--gaze", "uniform", "--steps", "2"], []),
+], ids=["eval-captions-absent", "train-captioner-empty"])
+def test_clip_without_captions_exit_1(dataset, tmp_path, capsys, argv,
+                                      captions):
+    # the captions field is optional, but these two commands score or
+    # train on every clip's captions
+    root = _copy_dataset(dataset, tmp_path)
+    path = root / "manifest.json"
+    manifest = json.loads(path.read_text())
+    for clip in manifest["clips"]:
+        if captions is None:
+            del clip["captions"]
+        else:
+            clip["captions"] = captions
+    path.write_text(json.dumps(manifest))
+    cands = tmp_path / "captions.json"
+    cands.write_text('{"clip000": "a box"}')
+    out = tmp_path / "o"
+    rc = main([a.format(captions=cands) for a in argv]
+              + ["--manifest", str(path), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "clip clip000: field 'captions' is missing or empty" in err
+    assert str(path) in err
+    assert not out.exists()
 
 
 def test_missing_fixation_file_exit_1(dataset, tmp_path, capsys):

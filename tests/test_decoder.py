@@ -11,7 +11,6 @@ from gean.decoder import (CHANNELS, DROPOUT, MAX_LEN, DecoderConfig,
                           build_clip_pools,
                           caption_loss, decode_greedy, decode_step, gru_step,
                           l2_penalty, teacher_forced_loss, temporal_attention)
-from gean.errors import GeanError
 from gean.pools import POOL_FOVEA, POOL_MOTION, POOL_SCENE
 from gean.tensor import Parameter, Tape, Tensor, no_grad
 from gean.text import Vocabulary
@@ -200,21 +199,6 @@ def test_decode_step_zero_hidden_gives_zero_fusion():
     assert np.all(np.isfinite(logits.data))
 
 
-def test_decode_step_rejects_bad_word():
-    # checked before any tape node: a bad word records nothing
-    params = make_params()
-    keys = attention_keys(make_pools(), params)
-    state = DecoderState.initial(params)
-    for words, message in (([CFG.vocab_size], "span word 0 has index 6"),
-                           ([0, 3, -1, 4, 2], "span word 2 has index -1"),
-                           ([1, 2, 3, 4, 7], "span word 4 has index 7"),
-                           ([], "non-empty"), ([1.0, 2.0], "integer")):
-        with Tape() as tape:
-            with pytest.raises(GeanError, match=message):
-                decode_step(state, keys, words, params)
-        assert tape._nodes == [], words
-
-
 # ---------------------------------------------------------------------------
 # greedy decoding
 # ---------------------------------------------------------------------------
@@ -283,17 +267,6 @@ def test_caption_loss_zero_params_ln_v():
     assert loss.item() == pytest.approx(np.log(CFG.vocab_size), abs=1e-9)
 
 
-def test_caption_loss_empty_targets():
-    with pytest.raises(GeanError, match="empty ground-truth sequence"):
-        caption_loss([], [], make_params(), l2_coeff=0.0)
-
-
-def test_caption_loss_rejects_length_mismatch():
-    with pytest.raises(GeanError, match="for 3 targets"):
-        caption_loss(Tensor(np.zeros((CFG.vocab_size, 2))), [1, 2, 3],
-                     make_params(), l2_coeff=0.0)
-
-
 def test_l2_term_added():
     params = make_params(14)
     logits = Tensor(np.zeros((CFG.vocab_size, 1)))
@@ -319,15 +292,6 @@ def test_build_clip_pools_fixed_gaze_shapes():
     # uniform gaze averages each frame's 7x7 grid
     np.testing.assert_allclose(pools["motion"][0],
                                motion[0].mean(axis=(0, 1)), atol=1e-9)
-
-
-def test_build_clip_pools_learned_requires_rgp():
-    rng = np.random.default_rng(16)
-    with pytest.raises(GeanError, match="learned gaze requires RGP"):
-        build_clip_pools(rng.standard_normal((2, 8)),
-                         rng.standard_normal((2, 7, 7, 8)),
-                         rng.standard_normal((2, 7, 7, 8)),
-                         None, "learned", seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +416,7 @@ def per_word_loss(pools, ids, params, vocab, l2_coeff, dropout_on, rng):
     """Teacher forcing one word at a time: a per-word cross-entropy summed
     word by word."""
     keys = attention_keys(pools, params)
-    h_att = h_m = Tensor(np.zeros(params.config.hidden))
+    h_att = h_m = Tensor(np.zeros(params.att_u_h.shape[0]))
     total = None
     for prev, tgt in zip([vocab.bos] + ids, ids + [vocab.eos]):
         logits, h_att, h_m = per_word_step(prev, h_att, h_m, keys, params,

@@ -38,19 +38,9 @@ def test_two_subjects_two_cells():
     assert m.sum() == 2.0
 
 
-def test_no_fixations_raises():
-    with pytest.raises(GeanError, match="frame has no fixations"):
-        build_fixation_map([], GRID, GRID)
-
-
 # ---------------------------------------------------------------------------
 # blur and normalization
 # ---------------------------------------------------------------------------
-
-def test_blur_sigma_zero_identity():
-    m = np.random.default_rng(0).random((9, 9))
-    np.testing.assert_array_equal(gaussian_blur(m, 0.0), m)
-
 
 def test_blur_delta_matches_2d_kernel():
     sigma = 2.0
@@ -100,8 +90,6 @@ def test_normalize_minmax_endpoints():
 
 
 def test_normalize_degenerate():
-    with pytest.raises(GeanError, match="cannot l1-normalize a map with sum"):
-        normalize_l1(np.zeros((3, 3)))
     with pytest.raises(GeanError, match="cannot min-max normalize a constant"):
         normalize_minmax(np.ones((3, 3)))
 

@@ -7,7 +7,6 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from gean.errors import GeanError
 from gean.gaze import FixationRecord
 from gean.metrics import (_auc, _lcs_len, auc_judd, bleu, cc,
                           cider, corpus_bleu, eval_protocol, rouge_l, sauc,
@@ -35,11 +34,6 @@ def test_sim_uniform_vs_onehot():
     assert sim(p, q) == pytest.approx(0.25, abs=1e-12)
 
 
-def test_sim_degenerate():
-    with pytest.raises(GeanError, match="sim of an all-zero map"):
-        sim(np.zeros(4), np.ones(4))
-
-
 # ---------------------------------------------------------------------------
 # CC
 # ---------------------------------------------------------------------------
@@ -59,11 +53,6 @@ def test_cc_hand_value():
               [1.0, 3.0, 2.0, 4.0]) == pytest.approx(0.8, abs=1e-9)
 
 
-def test_cc_constant_degenerate():
-    with pytest.raises(GeanError, match="cc of a constant map"):
-        cc(np.ones(5), np.random.default_rng(3).random(5))
-
-
 # ---------------------------------------------------------------------------
 # AUC-Judd
 # ---------------------------------------------------------------------------
@@ -76,11 +65,6 @@ def test_auc_perfect_separation():
 
 def test_auc_constant_half():
     assert auc_judd(np.ones((5, 5)), [(2, 2)]) == pytest.approx(0.5, abs=1e-9)
-
-
-def test_auc_requires_fixations():
-    with pytest.raises(GeanError, match="auc_judd requires at least one"):
-        auc_judd(np.ones((5, 5)), [])
 
 
 def _loop_auc(pos, neg):
@@ -200,8 +184,6 @@ def test_sauc_array_pool_equals_list_pool():
     as_list = [tuple(int(v) for v in p) for p in pool]
     assert (sauc(s, [(4, 4), (2, 7)], pool, seed=3)
             == sauc(s, [(4, 4), (2, 7)], as_list, seed=3))
-    with pytest.raises(GeanError, match="non-empty shuffle pool"):
-        sauc(s, [(4, 4)], np.zeros((0, 2), dtype=int), seed=0)
 
 
 def test_sauc_deterministic():

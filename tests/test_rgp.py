@@ -256,11 +256,6 @@ def test_float64_features_run_in_the_weights_dtype():
         maps, predict_gaze(feats.astype(np.float32), params))
 
 
-def test_forward_rejects_empty():
-    with pytest.raises(GeanError, match="expected a non-empty"):
-        predict_gaze(np.zeros((0, 7, 7, 4)), small_params())
-
-
 # ---------------------------------------------------------------------------
 # loss
 # ---------------------------------------------------------------------------
