@@ -14,6 +14,7 @@ Every malformed file, one holding a NaN or an infinity too, raises
 
 import json
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -48,18 +49,22 @@ def _write_record(f, tensor):
     f.write(MAGIC)
     f.write(struct.pack("<BB%dI" % arr.ndim, _DTYPE_CODES[arr.dtype],
                         arr.ndim, *arr.shape))
-    f.write(arr.astype(arr.dtype.newbyteorder("<")).tobytes())
+    f.write(memoryview(arr.astype(arr.dtype.newbyteorder("<"), copy=False)))
 
 
-def _read_record(blob, pos, path):
-    """Parse the record that starts at byte `pos` of `blob`, read from
-    `path`; return (array, offset just past the payload)."""
-    if len(blob) < pos + 10:
-        raise FormatError("truncated header in %s" % path, offset=len(blob))
-    if blob[pos:pos + 8] != MAGIC:
-        raise FormatError("bad magic %r in %s" % (blob[pos:pos + 8], path),
+def _read_record(f, size, path):
+    """Read the record at `f`'s position of the open file `path`, `size`
+    bytes long; return (array, offset just past the payload). The payload is
+    read straight into the array, once its declared end is known to lie
+    inside the file."""
+    pos = f.tell()
+    if size < pos + 10:
+        raise FormatError("truncated header in %s" % path, offset=size)
+    head = f.read(10)
+    if head[:8] != MAGIC:
+        raise FormatError("bad magic %r in %s" % (head[:8], path),
                           offset=pos)
-    code, ndim = struct.unpack_from("<BB", blob, pos + 8)
+    code, ndim = head[8], head[9]
     if code not in _DTYPES:
         raise FormatError("unknown dtype code %d in %s" % (code, path),
                           offset=pos + 8)
@@ -67,25 +72,26 @@ def _read_record(blob, pos, path):
         raise FormatError("zero-dimensional tensor in %s" % path,
                           offset=pos + 9)
     start = pos + 10 + 4 * ndim
-    if len(blob) < start:
-        raise FormatError("truncated dims in %s" % path, offset=len(blob))
-    dims = struct.unpack_from("<%dI" % ndim, blob, pos + 10)
+    if size < start:
+        raise FormatError("truncated dims in %s" % path, offset=size)
+    dims = struct.unpack("<%dI" % ndim, f.read(4 * ndim))
     if 0 in dims:
         raise FormatError("zero extent in dims %s in %s" % (dims, path),
                           offset=pos + 10)
     count = math.prod(dims)
     end = start + count * _DTYPES[code].itemsize
-    if len(blob) < end:
+    if size < end:
         raise FormatError("payload of %s ends at %d, declared to end at %d"
-                          % (path, len(blob), end), offset=start)
-    arr = np.frombuffer(blob, dtype=_DTYPES[code], count=count, offset=start)
-    finite = np.isfinite(arr)
-    if not finite.all():
-        i = int(np.argmin(finite))
+                          % (path, size, end), offset=start)
+    arr = np.empty(count, dtype=_DTYPES[code])
+    f.readinto(memoryview(arr).cast("B"))
+    # min and max carry any NaN or infinity: a finite record needs no mask
+    if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
+        i = int(np.argmin(np.isfinite(arr)))
         raise FormatError("non-finite value %s at flat index %d in %s"
                           % (arr[i], i, path),
                           offset=start + i * arr.itemsize)
-    return arr.reshape(dims).copy(), end
+    return arr.reshape(dims), end
 
 
 def write_feature_file(path, tensor):
@@ -95,10 +101,10 @@ def write_feature_file(path, tensor):
 
 def read_feature_file(path):
     with open(path, "rb") as f:
-        blob = f.read()
-    arr, end = _read_record(blob, 0, path)
-    if end != len(blob):
-        raise FormatError("%d trailing bytes in %s" % (len(blob) - end, path),
+        size = os.fstat(f.fileno()).st_size
+        arr, end = _read_record(f, size, path)
+    if end != size:
+        raise FormatError("%d trailing bytes in %s" % (size - end, path),
                           offset=end)
     return arr
 
@@ -113,24 +119,24 @@ def save_checkpoint(path, arrays):
 
 
 def load_checkpoint(path):
-    with open(path, "rb") as f:
-        blob = f.read()
     out = {}
-    pos = 0
-    while pos < len(blob):
-        name_end = pos + 2 + int.from_bytes(blob[pos:pos + 2], "little")
-        if len(blob) < name_end:
-            raise FormatError("truncated parameter name in %s" % path,
-                              offset=pos)
-        try:
-            name = blob[pos + 2:name_end].decode("utf-8")
-        except UnicodeDecodeError:
-            raise FormatError("undecodable parameter name in %s" % path,
-                              offset=pos + 2) from None
-        if name in out:
-            raise FormatError("repeated parameter %r in %s" % (name, path),
-                              offset=pos + 2)
-        out[name], pos = _read_record(blob, name_end, path)
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        pos = 0
+        while pos < size:
+            name_end = pos + 2 + int.from_bytes(f.read(2), "little")
+            if size < name_end:
+                raise FormatError("truncated parameter name in %s" % path,
+                                  offset=pos)
+            try:
+                name = f.read(name_end - pos - 2).decode("utf-8")
+            except UnicodeDecodeError:
+                raise FormatError("undecodable parameter name in %s" % path,
+                                  offset=pos + 2) from None
+            if name in out:
+                raise FormatError("repeated parameter %r in %s" % (name, path),
+                                  offset=pos + 2)
+            out[name], pos = _read_record(f, size, path)
     return out
 
 
@@ -173,9 +179,10 @@ def load_dataset(manifest_path):
     manifest = load_json(path, "manifest")
     root = path.parent
     size = _field(manifest, "frame_size", list, "manifest %s" % path)
-    if len(size) != 2 or not all(type(v) is int and v > 0 for v in size):
+    if (len(size) != 2 or not all(type(v) is int and v > 0 for v in size)
+            or size[0] * size[1] < 2):  # a min-max map needs 2 pixels
         raise GeanError("manifest %s: field 'frame_size' is not 2 positive "
-                        "integers" % path)
+                        "integers with at least 2 pixels in all" % path)
     listed = _field(manifest, "clips", list, "manifest %s" % path)
     if not listed:
         raise GeanError("manifest %s: field 'clips' is empty" % path)

@@ -63,7 +63,7 @@ class Tape:
                     a, b = (np.concatenate(e) if len(e) > 1 else e[0]
                             for e in zip(*pairs))
                     if conv is not None:
-                        a = _cols(a, *param.shape[:2], *conv[:2])[0]
+                        a = _cols(_windows(a, *param.shape[:2], *conv[:2]))
                     _add_product(param, a.T, b.reshape(a.shape[0], -1))
         finally:
             for pairs in self._pending.values():
@@ -536,29 +536,42 @@ def _col2im(cols, hp, wp, stride):
     return out
 
 
-def _cols(xb, kh, kw, stride, pad):
-    """The (N*ho*wo, kh*kw*Cin) im2col matrix of an (N,H,W,Cin) input, and
-    the output extent (ho, wo)."""
+_COLS_SPLIT_BYTES = 4 << 20
+
+
+def _windows(xb, kh, kw, stride, pad):
+    """The (N,ho,wo,kh,kw,Cin) window view of an (N,H,W,Cin) input."""
+    if kh == kw == stride == 1 and pad == 0:
+        return xb[:, :, :, None, None]  # 1x1 conv: a channel matmul
     n, h, w, cin = xb.shape
     ho = (h + 2 * pad - kh) // stride + 1
     wo = (w + 2 * pad - kw) // stride + 1
-    if kh == 1 and kw == 1 and stride == 1 and pad == 0:
-        return xb.reshape(-1, cin), ho, wo  # 1x1 conv: a channel matmul
     xp = np.zeros((n, h + 2 * pad, w + 2 * pad, cin), dtype=xb.dtype)
     xp[:, pad:pad + h, pad:pad + w] = xb
     sn, sh, sw, sc = xp.strides
-    windows = as_strided(xp, shape=(n, ho, wo, kh, kw, cin),
-                         strides=(sn, sh * stride, sw * stride, sh, sw, sc))
-    return np.ascontiguousarray(windows).reshape(n * ho * wo, -1), ho, wo
+    return as_strided(xp, shape=(n, ho, wo, kh, kw, cin),
+                      strides=(sn, sh * stride, sw * stride, sh, sw, sc))
+
+
+def _cols(win):
+    """The (N*ho*wo, kh*kw*Cin) im2col matrix of a window view, or the
+    (N*ho*wo, kw*Cin) one of a kernel row's slice of it."""
+    return np.ascontiguousarray(win).reshape(np.prod(win.shape[:3]), -1)
 
 
 def _conv_data(xb, k, stride, pad):
     """conv2d on arrays: (N,H,W,Cin) input and (kh,kw,Cin,Cout) kernel ->
-    the (N,ho,wo,Cout) output and the im2col matrix of the input."""
+    the (N,ho,wo,Cout) output. An im2col matrix over _COLS_SPLIT_BYTES is
+    formed one kernel row at a time and the row products summed."""
     kh, kw, _, cout = k.shape
-    cols, ho, wo = _cols(xb, kh, kw, stride, pad)
-    return ((cols @ k.reshape(-1, cout)).reshape(xb.shape[0], ho, wo, cout),
-            cols)
+    win = _windows(xb, kh, kw, stride, pad)
+    if win.nbytes <= _COLS_SPLIT_BYTES:
+        out = _cols(win) @ k.reshape(-1, cout)
+    else:
+        out = _cols(win[:, :, :, 0]) @ k[0].reshape(-1, cout)
+        for di in range(1, kh):
+            out += _cols(win[:, :, :, di]) @ k[di].reshape(-1, cout)
+    return out.reshape(*win.shape[:3], cout)
 
 
 def conv2d(x, kernel, stride=1, pad=0):
@@ -571,7 +584,7 @@ def conv2d(x, kernel, stride=1, pad=0):
     n, h, w, _ = xb.shape
     if kh > h + 2 * pad or kw > w + 2 * pad:
         raise GeanError("kernel larger than padded input")
-    out = _conv_data(xb, kernel.data, stride, pad)[0]
+    out = _conv_data(xb, kernel.data, stride, pad)
     ho, wo = out.shape[1:3]
     pending = None  # a Parameter kernel's gradient: formed when the sweep ends
     if isinstance(kernel, Parameter) and kernel.requires_grad and _recording():
@@ -582,7 +595,7 @@ def conv2d(x, kernel, stride=1, pad=0):
         if pending is not None:
             pending.append((xb, g))
         elif kernel.requires_grad:
-            _add_product(kernel, _cols(xb, kh, kw, stride, pad)[0].T,
+            _add_product(kernel, _cols(_windows(xb, kh, kw, stride, pad)).T,
                          g.reshape(-1, cout))
         if x.requires_grad:
             gcols = g.reshape(-1, cout) @ kernel.data.reshape(-1, cout).T
@@ -618,7 +631,7 @@ def conv_transpose2d(x, kernel, stride, pad):
                               (0, 0), (0, 0)))
     kp = kp.reshape(a, s, a, s, cout, cin)[::-1, :, ::-1]
     ksub = kp.transpose(0, 2, 5, 1, 3, 4).reshape(a, a, cin, s * s * cout)
-    phases = _conv_data(xb, ksub, 1, a - 1)[0]
+    phases = _conv_data(xb, ksub, 1, a - 1)
     qh, qw = phases.shape[1:3]
     full = phases.reshape(n, qh, qw, s, s, cout).transpose(
         0, 1, 3, 2, 4, 5).reshape(n, qh * s, qw * s, cout)
@@ -626,9 +639,10 @@ def conv_transpose2d(x, kernel, stride, pad):
 
     def backward(g):
         # conv2d with this kernel, read as (kh,kw,Cout,Cin), is the adjoint
-        gx, gcols = _conv_data(g, kernel.data, stride, pad)
+        gcols = _cols(_windows(g, kh, kw, stride, pad))
         if x.requires_grad:
-            x.accumulate(gx)
+            gx = gcols @ kernel.data.reshape(-1, cin)
+            x.accumulate(gx.reshape(xb.shape))
         if kernel.requires_grad:
             _add_product(kernel, gcols.T, xb.reshape(-1, cin))
 

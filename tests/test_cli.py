@@ -447,10 +447,12 @@ def _edit_clip(key, value):
     (_edit_clip("captions", ["a box", "..."]),
      "clip clip000: field 'captions' holds a caption with no word"),
     (_drop("frame_size"), "'frame_size'"),
+    (lambda manifest: manifest.update(frame_size=[1, 1]),
+     "field 'frame_size' is not 2 positive integers with at least 2"),
     (None, "is not JSON"),
 ], ids=["no-clips", "empty-clips", "no-n-frames", "string-n-frames", "no-id",
         "repeated-id", "path-id", "no-motion-features", "string-captions",
-        "wordless-caption", "no-frame-size", "not-json"])
+        "wordless-caption", "no-frame-size", "one-pixel-frame", "not-json"])
 def test_malformed_manifest_exit_1(dataset, tmp_path, capsys, edit, message):
     root = _copy_dataset(dataset, tmp_path)
     path = root / "manifest.json"

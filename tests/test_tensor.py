@@ -1,6 +1,8 @@
 """Oracle tests for the tensor engine: spatial ops, activations,
 softmax, and the gradient checker itself."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,30 @@ def test_spatial_ops_reject_3d_input(op, args):
     with pytest.raises(GeanError, match=r"4-D \(N,H,W,C\) input, got "
                                         r"\(6, 6, 2\)"):
         op(Tensor(np.ones((6, 6, 2))), *args)
+
+
+def test_conv2d_large_forward_one_kernel_row_at_a_time():
+    """Above the split size the forward holds one kernel row's im2col
+    matrix, the padded input, the output and one row's product, not the
+    whole 7.2 MB matrix, and still matches a float64 reference."""
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal((8, 7, 7, 512)).astype(np.float32)
+    k = rng.standard_normal((3, 3, 512, 64)).astype(np.float32)
+    assert x.nbytes * 9 > T._COLS_SPLIT_BYTES
+    xt, kt = Tensor(x), Tensor(k)
+    tracemalloc.start()
+    try:
+        out = T.conv2d(xt, kt, stride=1, pad=1).data
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    row, padded = x.nbytes * 3, 8 * 9 * 9 * 512 * 4
+    assert peak <= row + padded + 2 * out.nbytes + (1 << 16)  # + headers
+    xp = np.pad(x.astype(np.float64), ((0, 0), (1, 1), (1, 1), (0, 0)))
+    ref = sum(xp[:, i:i + 7, j:j + 7] @ k[i, j].astype(np.float64)
+              for i in range(3) for j in range(3))
+    assert out.dtype == np.float32
+    np.testing.assert_allclose(out, ref, rtol=0, atol=1e-5 * abs(ref).max())
 
 
 # ---------------------------------------------------------------------------

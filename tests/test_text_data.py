@@ -2,6 +2,8 @@
 dataset generator."""
 
 import json
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -171,6 +173,48 @@ def test_feature_file_rejects_trailing_bytes(tmp_path):
     with pytest.raises(FormatError, match="1 trailing bytes") as e:
         read_feature_file(path)
     assert e.value.offset == 10 + 8 + 32
+
+
+def _traced_peak(f):
+    """f's result and the peak of the memory traced while it ran (numpy's
+    buffers included)."""
+    tracemalloc.start()
+    try:
+        return f(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_records_read_and_written_in_place(tmp_path):
+    """A reader holds the one array it returns, never the file's bytes
+    beside it; a writer holds no copy of the array."""
+    arr = np.random.default_rng(3).standard_normal(1 << 20).astype(np.float32)
+    feature, ckpt = tmp_path / "f.bin", tmp_path / "m.ckpt"
+    write_feature_file(feature, arr)
+    _, saved = _traced_peak(lambda: save_checkpoint(ckpt, {"w": arr}))
+    assert saved <= 0.1 * arr.nbytes
+    for read in (lambda: read_feature_file(feature),
+                 lambda: load_checkpoint(ckpt)["w"]):
+        back, peak = _traced_peak(read)
+        np.testing.assert_array_equal(back, arr)
+        assert peak <= 1.1 * arr.nbytes
+
+
+def test_oversized_declared_record_allocates_nothing(tmp_path):
+    """A header that declares 16 GiB in a 40-byte file is refused, at the
+    payload's offset, before any buffer for it is made."""
+    record = data.MAGIC + struct.pack("<BB2I", 0, 2, 65536, 65536)
+    feature, ckpt = tmp_path / "f.bin", tmp_path / "m.ckpt"
+    feature.write_bytes(record + bytes(40 - len(record)))
+    ckpt.write_bytes(b"\x01\x00w" + feature.read_bytes())
+    for path, load, offset in ((feature, read_feature_file, 18),
+                               (ckpt, load_checkpoint, 21)):
+        def refused():
+            with pytest.raises(FormatError, match="declared to end at") as e:
+                load(path)
+            return e.value.offset
+        got, peak = _traced_peak(refused)
+        assert got == offset and peak < 1 << 20
 
 
 def _mutants(blob, rng, n):
