@@ -60,11 +60,9 @@ def _load_rgp(path):
             in_channels=cin, proj_channels=cp, hidden=arrays["u_h"].shape[-1],
             readout_channels=tuple(arrays[d].shape[2]
                                    for d in ("d1", "d2", "d3")))
-        params = rgp.RgpParams.create(np.random.default_rng(0), cfg)
-        params.load_state_dict(arrays)
+        return rgp.RgpParams.adopt(arrays, cfg)
     except GeanError as e:  # name the file, as the format errors do
         raise GeanError("%s: %s" % (path, e)) from None
-    return params
 
 
 def _load_decoder(ckpt_path, meta_path):
@@ -89,11 +87,9 @@ def _load_decoder(ckpt_path, meta_path):
             vocab_size=vocab_size, embed=embed, hidden=hidden, att=att,
             feat=arrays["wq_scene"].shape[1],
             agg_splits=tuple(arrays[n].shape[0] for n in wg))
-        params = decoder.DecoderParams.create(np.random.default_rng(0), cfg)
-        params.load_state_dict(arrays)
+        return decoder.DecoderParams.adopt(arrays, cfg), vocab
     except GeanError as e:
         raise GeanError("%s: %s" % (ckpt_path, e)) from None
-    return params, vocab
 
 
 def _load_captions(path):

@@ -8,8 +8,9 @@ Arrays travel between stages in one binary record,
 
 parsed by one reader. A feature file is exactly one record. A checkpoint is,
 per parameter in name order, a u16 name length, the utf-8 name and a record.
-Every malformed file, one holding a NaN or an infinity too, raises
-`FormatError` naming the path and byte offset.
+Every malformed file, one holding a NaN, an infinity or a float64 value
+beyond float32's range too, raises `FormatError` naming the path and byte
+offset.
 """
 
 import json
@@ -33,6 +34,7 @@ FEATURE_DIM = 1024
 MAGIC = b"GEAN0001"
 _DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 _DTYPE_CODES = {np.dtype("float32"): 0, np.dtype("float64"): 1}
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
 # ---------------------------------------------------------------------------
@@ -86,10 +88,16 @@ def _read_record(f, size, path):
     arr = np.empty(count, dtype=_DTYPES[code])
     f.readinto(memoryview(arr).cast("B"))
     # min and max carry any NaN or infinity: a finite record needs no mask
-    if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
+    lo, hi = arr.min(), arr.max()
+    if not (np.isfinite(lo) and np.isfinite(hi)):
         i = int(np.argmin(np.isfinite(arr)))
         raise FormatError("non-finite value %s at flat index %d in %s"
                           % (arr[i], i, path),
+                          offset=start + i * arr.itemsize)
+    if max(-lo, hi) > _FLOAT32_MAX:  # the models compute in float32
+        i = int(np.argmax(arr) if hi > _FLOAT32_MAX else np.argmin(arr))
+        raise FormatError("value %s at flat index %d in %s does not fit "
+                          "float32" % (arr[i], i, path),
                           offset=start + i * arr.itemsize)
     return arr.reshape(dims), end
 

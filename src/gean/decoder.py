@@ -42,41 +42,45 @@ class DecoderParams(ParameterSet):
     def weight_matrices(self):
         return [p for n, p in self.params.items() if not n.startswith("b_")]
 
+    @staticmethod
+    def shapes(config):
+        v, e, h, a, f = (config.vocab_size, config.embed, config.hidden,
+                         config.att, config.feat)
+        out = {"embedding": (e, v)}
+        for ch in CHANNELS:
+            out.update({"w_" + ch: (a,), "wq_" + ch: (a, f),
+                        "uq_" + ch: (a, h), "b_q_" + ch: (a,)})
+        for prefix, xdim in (("att", e), ("mm", config.agg_dim + e)):
+            # gates stack by rows: z|r|h, and z|r on the recurrent side
+            out.update({prefix + "_w_zrh": (3 * h, xdim),
+                        prefix + "_u_zr": (2 * h, h), prefix + "_u_h": (h, h),
+                        "b_%s_zr" % prefix: (2 * h,)})
+        for ch, dim in zip(CHANNELS, config.agg_splits):
+            out["wg_" + ch] = (dim, f)
+        out.update(b_g=(config.agg_dim,), u_g=(config.agg_dim, h),
+                   w_out=(v, h), b_out=(v,))
+        return out
+
     @classmethod
     def create(cls, rng, config, dtype=np.float32):
-        cfg = config
-        v, e, h, a, f = (cfg.vocab_size, cfg.embed, cfg.hidden, cfg.att,
-                         cfg.feat)
-        params = {}
-
-        def add(name, *blocks):
-            data = np.concatenate(blocks) if len(blocks) > 1 else blocks[0]
-            params[name] = Parameter(name, data)
-
-        zero = lambda n: np.zeros(n, dtype=dtype)
-        xavier = lambda *shape: init_xavier(shape, rng, dtype)
-        add("embedding", xavier(e, v))
-        for ch in CHANNELS:
-            add("w_%s" % ch, xavier(a))
-            add("wq_%s" % ch, xavier(a, f))
-            add("uq_%s" % ch, xavier(a, h))
-            add("b_q_%s" % ch, zero(a))
-        for prefix, xdim in (("att", e), ("mm", cfg.agg_dim + e)):
-            # one draw per gate block, z, r, h in turn; gates stack by rows
-            (wz, uz), (wr, ur), (wh, uh) = [
-                (xavier(h, xdim), init_orthogonal((h, h), rng, dtype))
-                for _ in range(3)]
-            add("%s_w_zrh" % prefix, wz, wr, wh)
-            add("%s_u_zr" % prefix, uz, ur)
-            add("%s_u_h" % prefix, uh)
-            add("b_%s_zr" % prefix, zero(2 * h))
-        for ch, dim in zip(CHANNELS, cfg.agg_splits):
-            add("wg_%s" % ch, xavier(dim, f))
-        add("b_g", zero(cfg.agg_dim))
-        add("u_g", xavier(cfg.agg_dim, h))
-        add("w_out", xavier(v, h))
-        add("b_out", zero(v))
-        return cls(params)
+        shapes = cls.shapes(config)
+        arrays = {}
+        for name, shape in shapes.items():
+            if name.endswith("_w_zrh"):
+                # one draw per gate, z, r, h in turn: the input-side block,
+                # then the recurrent one, which the GRU's u_zr and u_h stack
+                h, prefix = shape[0] // 3, name[:-len("_w_zrh")]
+                w, u = zip(*[(init_xavier((h, shape[1]), rng, dtype),
+                              init_orthogonal((h, h), rng, dtype))
+                             for _ in range(3)])
+                arrays.update({name: np.concatenate(w),
+                               prefix + "_u_zr": np.concatenate(u[:2]),
+                               prefix + "_u_h": u[2]})
+            elif name not in arrays:
+                arrays[name] = (np.zeros(shape, dtype=dtype)
+                                if name.startswith("b_")
+                                else init_xavier(shape, rng, dtype))
+        return cls({n: Parameter(n, arrays[n]) for n in shapes})
 
 
 class DecoderState:

@@ -35,25 +35,27 @@ class RgpParams(ParameterSet):
     NAMES = ("p_in", "w_zrh", "u_zr", "u_h", "d1", "d2", "d3", "r")
 
     @classmethod
+    def shapes(cls, config):
+        ci, cp, ch = config.in_channels, config.proj_channels, config.hidden
+        c1, c2, c3 = config.readout_channels
+        # conv kernels are (kh, kw, cin, cout), conv_transpose (kh, kw,
+        # cout, cin)
+        return dict(zip(cls.NAMES, [
+            (1, 1, ci, cp), (3, 3, cp, 3 * ch), (3, 3, ch, 2 * ch),
+            (3, 3, ch, ch), (4, 4, c1, ch), (4, 4, c2, c1), (4, 4, c3, c2),
+            (1, 1, c3, 1)]))
+
+    @classmethod
     def create(cls, rng, config, dtype=np.float32):
-        cfg = config or RgpConfig()
-        ci, cp, ch = cfg.in_channels, cfg.proj_channels, cfg.hidden
-        c1, c2, c3 = cfg.readout_channels
-
-        def xavier(shape, gates=1):
+        params = {}
+        for name, (kh, kw, cin, cout) in cls.shapes(
+                config or RgpConfig()).items():
             # one Xavier draw per gate kernel, stacked on output channels
-            return np.concatenate([init_xavier(shape, rng, dtype)
-                                   for _ in range(gates)], axis=3)
-
-        arrays = {
-            "p_in": xavier((1, 1, ci, cp)),
-            "w_zrh": xavier((3, 3, cp, ch), 3),
-            "u_zr": xavier((3, 3, ch, ch), 2), "u_h": xavier((3, 3, ch, ch)),
-            # conv_transpose kernels are (kh, kw, cout, cin)
-            "d1": xavier((4, 4, c1, ch)), "d2": xavier((4, 4, c2, c1)),
-            "d3": xavier((4, 4, c3, c2)), "r": xavier((1, 1, c3, 1)),
-        }
-        return cls({n: Parameter(n, a) for n, a in arrays.items()})
+            gates = {"w_zrh": 3, "u_zr": 2}.get(name, 1)
+            params[name] = Parameter(name, np.concatenate(
+                [init_xavier((kh, kw, cin, cout // gates), rng, dtype)
+                 for _ in range(gates)], axis=3))
+        return cls(params)
 
 
 def gru_update(wx, zr_rec, h_prev, candidate_rec):

@@ -177,7 +177,8 @@ class Parameter(Tensor):
 
 class ParameterSet:
     """A model's Parameters keyed by name; each Parameter is also an
-    attribute (`params.b_out`). Subclasses define `create`."""
+    attribute (`params.b_out`). Subclasses define `shapes(config)`, the
+    name -> shape map in `create`'s order, and `create`."""
 
     def __init__(self, params):
         self.params = params
@@ -188,6 +189,16 @@ class ParameterSet:
             return params[name]
         raise AttributeError(name)
 
+    @classmethod
+    def adopt(cls, arrays, config):
+        """A set made of `arrays` (a checkpoint's, handed over) once they
+        pass `check_state` against `shapes(config)`: each is cast to
+        float32, with no copy of one that is float32 already."""
+        shapes = cls.shapes(config)
+        check_state(shapes, arrays)
+        return cls({n: Parameter(n, arrays[n].astype(np.float32, copy=False))
+                    for n in shapes})
+
     def all(self):
         return list(self.params.values())
 
@@ -195,21 +206,12 @@ class ParameterSet:
         return {n: p.data for n, p in self.params.items()}
 
     def load_state_dict(self, arrays):
-        """Copy checkpoint arrays in, cast to each Parameter's dtype.
-
-        The names must be exactly this set's and every shape must match;
-        nothing is changed unless all of them do.
-        """
-        require_parameters(self.params, arrays)
-        extra = sorted(set(arrays) - set(self.params))
-        if extra:
-            raise GeanError("checkpoint has unknown parameter %r" % extra[0])
+        """Copy checkpoint arrays into each Parameter's own buffer, cast to
+        its dtype, so no two sets share one. Nothing is changed unless the
+        arrays pass `check_state`."""
+        check_state({n: p.shape for n, p in self.params.items()}, arrays)
         for n, p in self.params.items():
-            if arrays[n].shape != p.shape:
-                raise GeanError("checkpoint shape %s != %s for %r"
-                                % (arrays[n].shape, p.shape, n))
-        for n, p in self.params.items():
-            p.data = np.array(arrays[n], dtype=p.data.dtype)
+            p.data[...] = arrays[n]
 
 
 def require_parameters(names, arrays):
@@ -217,6 +219,20 @@ def require_parameters(names, arrays):
     missing = sorted(set(names) - set(arrays))
     if missing:
         raise GeanError("checkpoint lacks parameter %r" % missing[0])
+
+
+def check_state(shapes, arrays):
+    """Raise GeanError unless `arrays` has exactly the names of the name ->
+    shape map `shapes`, each of its shape: the first missing name (sorted),
+    else the first unknown one, else the first with a wrong shape."""
+    require_parameters(shapes, arrays)
+    extra = sorted(set(arrays) - set(shapes))
+    if extra:
+        raise GeanError("checkpoint has unknown parameter %r" % extra[0])
+    for n, shape in shapes.items():
+        if arrays[n].shape != shape:
+            raise GeanError("checkpoint shape %s != %s for %r"
+                            % (arrays[n].shape, shape, n))
 
 
 def _as_tensor(x, like=None):

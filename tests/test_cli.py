@@ -2,11 +2,12 @@
 
 import json
 import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from gean import data, decoder
+from gean import cli, data, decoder, rgp
 from gean.cli import main, write_report
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
@@ -281,6 +282,38 @@ def test_predict_gaze_rejects_checkpoint_missing_sizing_parameter(
         assert named in err and str(ckpt) in err
 
 
+def test_checkpoint_loaders_hold_one_copy(tmp_path, monkeypatch):
+    """The CLI builds each model from its checkpoint's arrays: it draws no
+    random model, and its traced peak stays near the payload."""
+    rgp_arrays = rgp.RgpParams.create(np.random.default_rng(0), rgp.RgpConfig(
+        proj_channels=128, hidden=16, readout_channels=(8, 8, 8))).state_dict()
+    dec_arrays = decoder.DecoderParams.create(
+        np.random.default_rng(0), decoder.DecoderConfig(
+            vocab_size=6, embed=16, hidden=32, att=32,
+            agg_splits=(32, 32, 64))).state_dict()
+    rgp_ckpt, dec_ckpt = tmp_path / "rgp.ckpt", tmp_path / "decoder.ckpt"
+    meta = tmp_path / "decoder_meta.json"
+    data.save_checkpoint(rgp_ckpt, rgp_arrays)
+    data.save_checkpoint(dec_ckpt, dec_arrays)
+    meta.write_text(json.dumps({"words": ["a", "b", "c"]}))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a load drew a random model")
+    for cls in (rgp.RgpParams, decoder.DecoderParams):
+        monkeypatch.setattr(cls, "create", classmethod(refuse))
+    for load, arrays in ((lambda: cli._load_rgp(rgp_ckpt), rgp_arrays),
+                         (lambda: cli._load_decoder(dec_ckpt, meta)[0],
+                          dec_arrays)):
+        tracemalloc.start()
+        try:
+            params, peak = load(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * sum(a.nbytes for a in arrays.values())
+        for n, a in arrays.items():
+            np.testing.assert_array_equal(params.params[n].data, a)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
 def test_train_rgp_non_finite_loss_exit_2(dataset, tmp_path, capsys):
     # Adam moves each weight by about lr on the first step, so at lr 1e30
@@ -308,6 +341,27 @@ def test_non_finite_feature_file_exit_1(dataset, tmp_path, capsys, value):
     assert rc == 1
     assert "at flat index %d in %s" % (index, path) in err
     assert not (out / "train_rgp.json").exists()
+
+
+@pytest.mark.parametrize("value", [1e300, -1e300])
+def test_float64_feature_beyond_float32_exit_1(dataset, tmp_path, capsys,
+                                               value):
+    root = _copy_dataset(dataset, tmp_path)
+    path = root / "clip000_motion.bin"
+    motion = data.read_feature_file(path).astype(np.float64)
+    motion[1, 0, 0, 3] = value
+    data.write_feature_file(path, motion)
+    ckpt, out = tmp_path / "rgp.ckpt", tmp_path / "pred"
+    data.save_checkpoint(ckpt, rgp.RgpParams.create(
+        np.random.default_rng(0), rgp.RgpConfig(
+            proj_channels=4, hidden=2, readout_channels=(2, 2, 2))).state_dict())
+    rc = main(["predict-gaze", "--manifest", str(root / "manifest.json"),
+               "--rgp", str(ckpt), "--out", str(out)])
+    err = capsys.readouterr().err
+    index = np.ravel_multi_index((1, 0, 0, 3), motion.shape)
+    assert rc == 1
+    assert "at flat index %d in %s does not fit float32" % (index, path) in err
+    assert not out.exists()
 
 
 def test_non_finite_checkpoint_exit_1(dataset, tmp_path, capsys):
@@ -403,7 +457,13 @@ def _copy_dataset(dataset, tmp_path):
     (lambda b: b + b"\x00", "truncated parameter name"),
     (lambda b: json.dumps({"w": {"offset": 0, "dtype": 0, "dims": [1, 2]}})
      .encode() + b"\n" + bytes(8), "parameter name"),
-], ids=["dtype-7", "truncated", "trailing-byte", "old-json-index"])
+    # float64 payloads: the models compute in float32
+    (lambda b: b[:11] + b"\x01" + b[12:21] + np.array([0, 1e300]).tobytes(),
+     "index 1 in {path} does not fit float32 (at byte offset 29)"),
+    (lambda b: b[:11] + b"\x01" + b[12:21] + np.array([-1e300, 0]).tobytes(),
+     "index 0 in {path} does not fit float32 (at byte offset 21)"),
+], ids=["dtype-7", "truncated", "trailing-byte", "old-json-index",
+        "float64-above-float32", "float64-below-float32"])
 def test_malformed_checkpoint_exit_1(dataset, tmp_path, capsys, mutate,
                                      message):
     path = tmp_path / "rgp.ckpt"
@@ -413,7 +473,8 @@ def test_malformed_checkpoint_exit_1(dataset, tmp_path, capsys, mutate,
                "--out", str(tmp_path / "pred")])
     err = capsys.readouterr().err
     assert rc == 1
-    assert message in err and str(path) in err and "byte offset" in err
+    assert message.format(path=path) in err
+    assert str(path) in err and "byte offset" in err
     assert not (tmp_path / "pred").exists()
 
 

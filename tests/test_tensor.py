@@ -8,10 +8,10 @@ import pytest
 
 from gean import tensor as T
 from gean.checks import SMALL_DECODER, SMALL_RGP
-from gean.decoder import DecoderParams
+from gean.decoder import DecoderConfig, DecoderParams
 from gean.errors import GeanError
 from gean.optim import AdamState
-from gean.rgp import RgpParams
+from gean.rgp import RgpConfig, RgpParams
 from gean.tensor import Parameter, Tape, Tensor, grad_check
 
 
@@ -597,3 +597,45 @@ def test_load_state_dict_is_strict(cls, config, change):
         params.load_state_dict(arrays)
     for n, a in params.state_dict().items():
         np.testing.assert_array_equal(a, before[n])
+
+
+@pytest.mark.parametrize("cls,config", [(RgpParams, SMALL_RGP),
+                                        (DecoderParams, SMALL_DECODER)])
+def test_load_state_dict_fills_in_place_without_aliasing(cls, config):
+    a = cls.create(np.random.default_rng(0), config)
+    b = cls.create(np.random.default_rng(1), config)
+    buffers = {n: p.data for n, p in b.params.items()}
+    b.load_state_dict(a.state_dict())
+    for n, p in b.params.items():
+        assert p.data is buffers[n]
+        np.testing.assert_array_equal(p.data, a.params[n].data)
+    loaded = {n: d.copy() for n, d in b.state_dict().items()}
+    opt = AdamState(lr=0.1)
+    for _ in range(2):
+        for p in a.all():
+            p.grad = np.ones_like(p.data)
+        opt.step(a.all())
+    for n, p in b.params.items():
+        np.testing.assert_array_equal(p.data, loaded[n])
+        assert not np.array_equal(p.data, a.params[n].data)
+
+
+@pytest.mark.parametrize("cls,config", [
+    (RgpParams, RgpConfig()), (RgpParams, SMALL_RGP),
+    (DecoderParams, DecoderConfig(vocab_size=40)),
+    (DecoderParams, SMALL_DECODER)])
+def test_shapes_map_is_create_layout(cls, config):
+    params = cls.create(np.random.default_rng(0), config)
+    assert ([(n, p.shape) for n, p in params.params.items()]
+            == list(cls.shapes(config).items()))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adopt_takes_float32_arrays_without_copy(dtype):
+    arrays = {n: a.astype(dtype) for n, a in RgpParams.create(
+        np.random.default_rng(0), SMALL_RGP).state_dict().items()}
+    params = RgpParams.adopt(arrays, SMALL_RGP)
+    for n, p in params.params.items():
+        assert p.data.dtype == np.float32
+        assert (p.data is arrays[n]) == (dtype == np.float32)
+        np.testing.assert_array_equal(p.data, arrays[n].astype(np.float32))
