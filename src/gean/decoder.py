@@ -127,7 +127,7 @@ def attention_keys(pools, params):
     weight's dtype and the key term of temporal attention that no word
     changes, computed once per caption (Bahdanau et al., arXiv:1409.0473,
     App. A.1.2); the tape sums its gradient over the words. As
-    (Wq @ pool^T)^T, Wq's gradient is one product written into its grad."""
+    (Wq @ pool^T)^T, Wq's gradient is one product, left as factors."""
     p = params.params
     keys = {}
     for ch in CHANNELS:

@@ -21,15 +21,15 @@ _TAPE_STACK = []
 class Tape:
     """Ordered record of executed operations for one backward sweep.
 
-    Some Parameter gradients are formed once, as one matrix product
-    A^T @ B of the stacked entries (a, b) left in `_pending`, when the sweep
-    ends. A matrix @ vector product leaves (g[None], x[None]) under (matrix,
-    None): sum_k outer(g_k, x_k). A conv2d leaves its input and output
-    gradient (xb, g) under (kernel, (stride, pad, H, W)), and the stacked
-    inputs are im2col'd at the flush, so no im2col matrix outlives the
-    forward. Parameters are leaves, so no backward step reads their grad
-    before then. A node's grad is dropped once its backward has run; leaves
-    keep theirs.
+    Each Parameter's weight-product gradient is formed when the sweep ends,
+    from the stacked entries (a, b) left in `_pending`, as A^T @ B. A matmul
+    leaves (g2^T, x^T) under (its left operand, None) and (rows, g2) under
+    (its right one, None); a conv2d leaves (xb, g) under (kernel, (stride,
+    pad, H, W)), im2col'd at the flush, so no im2col matrix outlives the
+    forward. A Parameter with no dense grad whose A and B are smaller than
+    A^T @ B keeps them as its `factors`; else the product goes into its
+    grad. Parameters are leaves, so no backward step reads their grad
+    before then. A node's grad is dropped once its backward has run.
     """
 
     def __init__(self):
@@ -59,12 +59,19 @@ class Tape:
                     node._backward(node._grad)
                     node._grad = None
             for (param, conv), pairs in self._pending.items():
-                if pairs:  # an entry used once is not copied
-                    a, b = (np.concatenate(e) if len(e) > 1 else e[0]
-                            for e in zip(*pairs))
-                    if conv is not None:
-                        a = _cols(_windows(a, *param.shape[:2], *conv[:2]))
-                    _add_product(param, a.T, b.reshape(a.shape[0], -1))
+                if not pairs:
+                    continue
+                a, b = (np.concatenate(e) if len(e) > 1 else e[0]
+                        for e in zip(*pairs))
+                if conv is not None:
+                    a = _cols(_windows(a, *param.shape[:2], *conv[:2]))
+                b = b.reshape(a.shape[0], -1)
+                if (param._grad is None and param.factors is None
+                        and a.size + b.size < param.data.size):
+                    # copied, as an entry may view data that Adam changes
+                    param.factors = a.copy(order="K"), b.copy(order="K")
+                else:
+                    _add_product(param, a.T, b)
         finally:
             for pairs in self._pending.values():
                 pairs.clear()
@@ -150,18 +157,23 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """Named trainable tensor. sumsq's backward leaves its 2g in `l2`, not
-    2g * data in the grad: reading `grad` folds it in, Adam adds it block by
-    block, the tape's own adds leave it, and assigning `grad` drops it."""
+    """Named trainable tensor. Two parts of its gradient may be pending:
+    `factors` (A, B), left by the tape in place of the product A^T @ B, and
+    `l2`, the 2g of sumsq's backward in place of 2g * data. Reading `grad`
+    folds both in, in that order; Adam adds both block by block; the tape's
+    own adds leave them; assigning `grad` drops them."""
 
-    __slots__ = ("name", "l2")
+    __slots__ = ("name", "l2", "factors")
 
     def __init__(self, name, value):
         super().__init__(value, requires_grad=True)
-        self.name, self.l2 = name, 0.0
+        self.name, self.l2, self.factors = name, 0.0, None
 
     @property
     def grad(self):
+        if self.factors is not None:
+            (a, b), self.factors = self.factors, None
+            _add_product(self, a.T, b)
         if self.l2:
             self.accumulate(self.l2 * self.data)
             self.l2 = 0.0
@@ -169,7 +181,7 @@ class Parameter(Tensor):
 
     @grad.setter
     def grad(self, g):
-        self._grad, self.fresh, self.l2 = g, False, 0.0
+        self._grad, self.fresh, self.l2, self.factors = g, False, 0.0, None
 
     def __repr__(self):
         return "Parameter(%r, shape=%s)" % (self.name, self.shape)
@@ -258,11 +270,18 @@ def _unary(a, data, grad):
     return _make(data, lambda g: a.accumulate(grad(g)), a.requires_grad)
 
 
+def _entries(t, key):
+    """The recording tape's list of entries (a, b) for the weight product
+    of t under (t, key), or None unless t is a Parameter that needs one."""
+    if isinstance(t, Parameter) and t.requires_grad and _recording():
+        return _TAPE_STACK[-1]._pending.setdefault((t, key), [])
+    return None
+
+
 def _add_product(t, a, b):
-    """Add a @ b, reshaped to t's shape, into t's grad; a 2-D product of
+    """Add a @ b (both 2-D), reshaped to t's shape, into t's grad; one of
     the dtype of a fresh grad is written into it, with no temporary."""
-    if (t.fresh and a.ndim == b.ndim == 2
-            and a.dtype == b.dtype == t._grad.dtype):
+    if t.fresh and a.dtype == b.dtype == t._grad.dtype:
         np.matmul(a, b, out=t._grad.reshape(a.shape[0], b.shape[1]))
         t.fresh = False
     else:
@@ -326,20 +345,21 @@ def matmul(a, b):
         data = a.data @ b.data
     except ValueError as e:
         raise GeanError(str(e)) from None
-    pending = None  # W @ x with W a Parameter: summed when the sweep ends
-    if (isinstance(a, Parameter) and a.requires_grad and a.data.ndim == 2
-            and b.data.ndim == 1 and _recording()):
-        pending = _TAPE_STACK[-1]._pending.setdefault((a, None), [])
+    # a 1-D left Parameter's entries would be the transpose of its right ones
+    left = _entries(a, None) if a.data.ndim > 1 else None
+    right = _entries(b, None)
 
     def backward(g):
         rows = a.data.reshape(-1, a.shape[-1])
         cols = b.data.reshape(b.shape[0], -1)
         g2 = g.reshape(rows.shape[0], cols.shape[1])
-        if pending is not None:
-            pending.append((g[None], b.data[None]))
+        if left is not None:
+            left.append((g2.T, cols.T))
         elif a.requires_grad:
             _add_product(a, g2, cols.T)
-        if b.requires_grad:
+        if right is not None:
+            right.append((rows, g2))
+        elif b.requires_grad:
             _add_product(b, rows.T, g2)
 
     return _make(data, backward, a.requires_grad or b.requires_grad)
@@ -602,10 +622,7 @@ def conv2d(x, kernel, stride=1, pad=0):
         raise GeanError("kernel larger than padded input")
     out = _conv_data(xb, kernel.data, stride, pad)
     ho, wo = out.shape[1:3]
-    pending = None  # a Parameter kernel's gradient: formed when the sweep ends
-    if isinstance(kernel, Parameter) and kernel.requires_grad and _recording():
-        pending = _TAPE_STACK[-1]._pending.setdefault(
-            (kernel, (stride, pad, h, w)), [])
+    pending = _entries(kernel, (stride, pad, h, w))
 
     def backward(g):
         if pending is not None:

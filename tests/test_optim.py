@@ -7,6 +7,7 @@ import pytest
 
 from gean.decoder import (CHANNELS, DecoderConfig, DecoderParams,
                           teacher_forced_loss)
+from gean import optim
 from gean.optim import (ADAM_BLOCK, AdamState, init_orthogonal, init_xavier,
                         resolve_seed)
 from gean import tensor as T
@@ -144,6 +145,9 @@ def test_blocked_adam_matches_whole_array_loop(dtype):
         ref_opt.step(ref)
         _assert_same_params(new, ref)
         for p in new:
+            if p.name == "no_grad":  # stepped with zeros from scratch
+                assert p.grad is None
+                continue
             assert p.grad.shape == p.shape and p.grad.dtype == dtype
             assert p.grad.flags.c_contiguous and not p.grad.any()
             if p.name in held:
@@ -199,7 +203,10 @@ def test_efficient_form_matches_textbook_adam():
 # ---------------------------------------------------------------------------
 
 def _stepped(*params):
-    """Parameters whose grads Adam (at lr 0, so the data stay) zero-filled."""
+    """Parameters given grads that Adam (at lr 0, so the data stay) then
+    zero-filled."""
+    for p in params:
+        p.grad = np.ones_like(p.data)
     AdamState(lr=0.0).step(params)
     return params
 
@@ -231,7 +238,7 @@ def test_two_products_in_one_sweep_sum(accumulates):
     assert P.grad is held
     np.testing.assert_allclose(P.grad, cs[0] @ xs[0].T + cs[1] @ xs[1].T,
                                rtol=1e-14, atol=1e-14)
-    assert accumulates == ["P"]  # the first product wrote, the second added
+    assert accumulates == []  # both products stacked into one write
 
 
 def test_grad_assigned_after_step_is_added_to(accumulates):
@@ -352,3 +359,112 @@ def test_backward_peak_stays_below_largest_weight():
                 tracemalloc.stop()
         opt.step(params.all())
     assert peak < largest
+
+
+# ---------------------------------------------------------------------------
+# weight gradients left as factors (A, B) until Adam multiplies them out
+# ---------------------------------------------------------------------------
+
+FACTORED = DecoderConfig(vocab_size=40, embed=32, hidden=32, att=16, feat=64,
+                         agg_splits=(16, 16, 32))
+
+
+def _factored_sweep(params, l2_coeff, seed=3):
+    vocab = Vocabulary(["w%d" % i for i in range(FACTORED.vocab_size - 4)])
+    rng = np.random.default_rng(seed)
+    pools = {ch: Tensor(rng.standard_normal((4, FACTORED.feat)))
+             for ch in CHANNELS}
+    with Tape() as tape:
+        tape.backward(teacher_forced_loss(pools, [5, 6, 7, 8], params, vocab,
+                                          l2_coeff, dropout_on=True, rng=rng))
+
+
+def _matrices(params):
+    return [p for n, p in params.params.items()
+            if p.data.ndim == 2 and n != "embedding"]
+
+
+def test_decoder_sweep_leaves_weight_factors_not_dense_grads():
+    params = DecoderParams.create(np.random.default_rng(0), FACTORED,
+                                  dtype=np.float64)
+    _factored_sweep(params, 1e-3)
+    for p in _matrices(params):
+        assert p._grad is None and p.factors is not None, p.name
+    assert params.embedding._grad is not None
+
+
+def test_factored_grad_reads_as_the_dense_product_write():
+    # the dense side gets zero-filled fresh grads first, so each product is
+    # written into its grad at the sweep's end as before factors existed
+    sides = [DecoderParams.create(np.random.default_rng(0), FACTORED)
+             for _ in range(2)]
+    _stepped(*sides[1].all())
+    for params in sides:
+        _factored_sweep(params, 1e-3)
+    for p, q in zip(_matrices(sides[0]), _matrices(sides[1])):
+        assert p.factors is not None and q.factors is None
+        assert p.grad.tobytes() == q.grad.tobytes(), p.name
+
+
+def test_failed_sweep_leaves_no_factors():
+    rng = np.random.default_rng(37)
+    P = Parameter("P", rng.standard_normal((20, 30)))
+    v = Parameter("v", rng.standard_normal(30))
+
+    def boom(g):
+        raise RuntimeError("backward failed")
+
+    with Tape() as tape:
+        x = T.tanh(v)
+        y = T.tensor_sum(T.matmul(P, T.tanh(x)))
+        x._backward = boom
+        with pytest.raises(RuntimeError):
+            tape.backward(y)
+    assert P.factors is None and P.grad is None
+
+
+def test_parameter_as_left_and_right_operand():
+    rng = np.random.default_rng(38)
+    P = Parameter("P", rng.standard_normal((30, 30)))
+    x, y = rng.standard_normal((30, 2)), rng.standard_normal((2, 30))
+    c1, c2 = rng.standard_normal((30, 2)), rng.standard_normal((2, 30))
+    with Tape() as tape:
+        tape.backward(T.tensor_sum(T.matmul(P, Tensor(x)) * Tensor(c1))
+                      + T.tensor_sum(T.matmul(Tensor(y), P) * Tensor(c2)))
+    assert P.factors is not None
+    np.testing.assert_allclose(P.grad, c1 @ x.T + y.T @ c2, rtol=1e-12,
+                               atol=1e-12)
+
+
+def test_factored_adam_matches_whole_array_loop(monkeypatch):
+    # blocks of 8 elements, shorter than a row of any matrix here, and GEMMs
+    # of a few rows, against the whole-array loop on the materialized grads
+    monkeypatch.setattr(optim, "ADAM_BLOCK", 8)
+    monkeypatch.setattr(optim, "PRODUCT_BLOCK", 200)
+    sides = [DecoderParams.create(np.random.default_rng(0), FACTORED)
+             for _ in range(2)]
+    opts = AdamState(lr=1e-2), ReferenceAdam(lr=1e-2)
+    for step in range(3):
+        for params, opt in zip(sides, opts):
+            _factored_sweep(params, 1e-3, seed=step)
+            if opt is opts[0]:
+                assert all(p.factors is not None for p in _matrices(params))
+            opt.step(params.all())
+        _assert_same_params(sides[0].all(), sides[1].all())
+
+
+def test_parameter_without_gradient_gets_no_grad_array():
+    P = Parameter("P", np.ones((1000, 1000), np.float32))
+    P.l2 = 0.5
+    tracemalloc.start()
+    try:
+        AdamState(lr=1e-2).step([P])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert P.grad is None
+    assert peak < 3 * P.data.nbytes  # m, v and scratch; no zero grad
+    ref = Parameter("P", np.ones((1000, 1000), np.float32))
+    ref.grad = 0.5 * ref.data
+    ReferenceAdam(lr=1e-2).step([ref])
+    np.testing.assert_array_equal(P.data, ref.data)

@@ -195,6 +195,7 @@ def _windows(x, k, stride, pad):
 def test_shared_kernel_gradient_is_one_write(monkeypatch):
     rng = np.random.default_rng(40)
     K = Parameter("K", rng.standard_normal((3, 3, 2, 4)))
+    K.grad = np.ones_like(K.data)
     AdamState(lr=0.0).step([K])  # zero-fills K's grad
     held = K.grad
     xs = [Tensor(rng.standard_normal((1, 5, 5, 2))) for _ in range(3)]
