@@ -111,8 +111,9 @@ class AdamState:
 def _gradient_blocks(p, factors, bufs):
     """(offset, block) pairs over p's flat gradient, blocks of at most
     ADAM_BLOCK elements: the dense grad's, zero-filled once used, or A^T @ B
-    of factors (A, B) formed in bufs[2] in equal runs of whole rows, so no
-    short last GEMM is rounded differently."""
+    of factors (A, B) formed in bufs[2] in near-equal runs of whole rows.
+    Every run but a single-row weight's has 2+ rows, as a one-row GEMM is
+    a GEMV and rounds differently from the whole product."""
     if factors is None:
         dense = p._grad.reshape(-1)
         for lo in range(0, dense.size, ADAM_BLOCK):
@@ -121,12 +122,16 @@ def _gradient_blocks(p, factors, bufs):
         return
     a, b = factors
     rows, n = a.shape[1], b.shape[1]
-    step = -(-rows // -(-rows // max(1, PRODUCT_BLOCK // n)))
-    if bufs[2].size < step * n:
-        bufs[2] = np.empty(step * n, bufs[2].dtype)
-    for r in range(0, rows, step):
-        out = bufs[2][:min(step, rows - r) * n]
-        np.matmul(a.T[r:r + step], b, out=out.reshape(-1, n))
+    step = -(-rows // -(-rows // max(2, PRODUCT_BLOCK // n)))
+    starts = list(range(0, rows, step))
+    if len(starts) > 1 and rows - starts[-1] == 1:
+        starts.pop()  # a one-row last run joins the run before it
+    longest = max(step, rows - starts[-1])
+    if bufs[2].size < longest * n:
+        bufs[2] = np.empty(longest * n, bufs[2].dtype)
+    for r, end in zip(starts, starts[1:] + [rows]):
+        out = bufs[2][:(end - r) * n]
+        np.matmul(a.T[r:end], b, out=out.reshape(-1, n))
         for lo in range(0, out.size, ADAM_BLOCK):
             yield r * n + lo, out[lo:lo + ADAM_BLOCK]
 

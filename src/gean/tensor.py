@@ -21,20 +21,19 @@ _TAPE_STACK = []
 class Tape:
     """Ordered record of executed operations for one backward sweep.
 
-    Each Parameter's weight-product gradient is formed when the sweep ends,
-    from the stacked entries (a, b) left in `_pending`, as A^T @ B. A matmul
-    leaves (g2^T, x^T) under (its left operand, None) and (rows, g2) under
-    (its right one, None); a conv2d leaves (xb, g) under (kernel, (stride,
-    pad, H, W)), im2col'd at the flush, so no im2col matrix outlives the
-    forward. A Parameter with no dense grad whose A and B are smaller than
-    A^T @ B keeps them as its `factors`; else the product goes into its
-    grad. Parameters are leaves, so no backward step reads their grad
-    before then. A node's grad is dropped once its backward has run.
+    The sweep pops each node it reaches and drops its closure and grad, so
+    an activation is freed once no earlier node needs it, even while the
+    caller holds the loss; a tape is swept once. Parameters are leaves: the
+    weight gradient of each is formed when the sweep ends, from the stacked
+    entries (a, b) in `_pending`, as A^T @ B. A matmul leaves (g2^T, x^T)
+    under (its left operand, None) and (rows, g2) under (its right one,
+    None); a conv2d leaves (xb, g) under (kernel, (stride, pad, H, W)),
+    im2col'd at the flush by kernel rows. A matrix Parameter with no dense
+    grad whose A and B are smaller than A^T @ B keeps them as `factors`.
     """
 
     def __init__(self):
-        self._nodes = []
-        self._pending = {}
+        self._nodes, self._pending, self._swept = [], {}, False
 
     def __enter__(self):
         _TAPE_STACK.append(self)
@@ -52,27 +51,30 @@ class Tape:
         if loss.data.size != 1:
             raise GeanError("backward requires a scalar loss, got shape %s"
                             % (loss.shape,))
-        loss.grad = np.ones_like(loss.data)
+        if self._swept:
+            raise GeanError("backward on a tape that was already swept")
+        self._swept, loss.grad = True, np.ones_like(loss.data)
         try:
-            for node in reversed(self._nodes):
-                if node._grad is not None and node._backward is not None:
+            while self._nodes:
+                node = self._nodes.pop()
+                if node._grad is not None:
                     node._backward(node._grad)
-                    node._grad = None
+                node._backward = node._grad = None
             for (param, conv), pairs in self._pending.items():
                 if not pairs:
                     continue
                 a, b = (np.concatenate(e) if len(e) > 1 else e[0]
                         for e in zip(*pairs))
                 if conv is not None:
-                    a = _cols(_windows(a, *param.shape[:2], *conv[:2]))
-                b = b.reshape(a.shape[0], -1)
-                if (param._grad is None and param.factors is None
+                    _add_kernel_grad(param, a, b, *conv[:2])
+                elif (param._grad is None and param.factors is None
                         and a.size + b.size < param.data.size):
                     # copied, as an entry may view data that Adam changes
                     param.factors = a.copy(order="K"), b.copy(order="K")
                 else:
                     _add_product(param, a.T, b)
         finally:
+            self._nodes.clear()
             for pairs in self._pending.values():
                 pairs.clear()
 
@@ -278,14 +280,21 @@ def _entries(t, key):
     return None
 
 
-def _add_product(t, a, b):
-    """Add a @ b (both 2-D), reshaped to t's shape, into t's grad; one of
-    the dtype of a fresh grad is written into it, with no temporary."""
-    if t.fresh and a.dtype == b.dtype == t._grad.dtype:
-        np.matmul(a, b, out=t._grad.reshape(a.shape[0], b.shape[1]))
-        t.fresh = False
-    else:
+def _add_product(t, a, b, rows=slice(None)):
+    """Add a @ b (both 2-D) into t's grad, or its leading-axis slice `rows`.
+    A missing grad starts fresh (zeros, as Adam leaves it); a product of a
+    fresh grad's dtype is written into it, with no temporary."""
+    if t._grad is None:
+        t._grad, t.fresh = np.zeros(t.shape, t.data.dtype), True
+    out = t._grad[rows]
+    if t.fresh and a.dtype == b.dtype == out.dtype:
+        np.matmul(a, b, out=out.reshape(a.shape[0], b.shape[1]))
+        t.fresh = rows.stop not in (None, len(t._grad))
+    elif rows == slice(None):
         t.accumulate((a @ b).reshape(t.shape))
+    else:
+        out += (a @ b).reshape(out.shape)
+        t.fresh = False
 
 
 def _unbroadcast(grad, shape):
@@ -559,20 +568,15 @@ def _conv_args(op, x, kernel, stride, cin_axis):
     return x, kernel, xb
 
 
-def _col2im(cols, hp, wp, stride):
-    """Scatter-add (N,ho,wo,kh,kw,C) windows back into a padded image.
-    conv2d's input gradient stays this scatter: conv_transpose2d's sub-pixel
-    form re-lays out the kernel per call and ran gaze-train slower."""
-    n, ho, wo, kh, kw, c = cols.shape
-    out = np.zeros((n, hp, wp, c), dtype=cols.dtype)
-    for di in range(kh):
-        for dj in range(kw):
-            out[:, di:di + stride * ho:stride,
-                dj:dj + stride * wo:stride, :] += cols[:, :, :, di, dj, :]
-    return out
-
-
 _COLS_SPLIT_BYTES = 4 << 20
+
+
+def _kernel_rows(shape, dtype):
+    """A conv's kernel-row slices, one per GEMM, for an (N,ho,wo,kh,kw,C)
+    matrix: all rows, or one each if the matrix is over _COLS_SPLIT_BYTES."""
+    kh = shape[3]
+    step = kh if np.prod(shape) * dtype.itemsize <= _COLS_SPLIT_BYTES else 1
+    return [slice(d, d + step) for d in range(0, kh, step)]
 
 
 def _windows(xb, kh, kw, stride, pad):
@@ -590,24 +594,28 @@ def _windows(xb, kh, kw, stride, pad):
 
 
 def _cols(win):
-    """The (N*ho*wo, kh*kw*Cin) im2col matrix of a window view, or the
-    (N*ho*wo, kw*Cin) one of a kernel row's slice of it."""
+    """The (N*ho*wo, -1) im2col matrix of a window view or a row slice."""
     return np.ascontiguousarray(win).reshape(np.prod(win.shape[:3]), -1)
 
 
 def _conv_data(xb, k, stride, pad):
     """conv2d on arrays: (N,H,W,Cin) input and (kh,kw,Cin,Cout) kernel ->
-    the (N,ho,wo,Cout) output. An im2col matrix over _COLS_SPLIT_BYTES is
-    formed one kernel row at a time and the row products summed."""
+    the (N,ho,wo,Cout) output, the kernel-row products summed in order."""
     kh, kw, _, cout = k.shape
     win = _windows(xb, kh, kw, stride, pad)
-    if win.nbytes <= _COLS_SPLIT_BYTES:
-        out = _cols(win) @ k.reshape(-1, cout)
-    else:
-        out = _cols(win[:, :, :, 0]) @ k[0].reshape(-1, cout)
-        for di in range(1, kh):
-            out += _cols(win[:, :, :, di]) @ k[di].reshape(-1, cout)
+    first, *rest = _kernel_rows(win.shape, win.dtype)
+    out = _cols(win[:, :, :, first]) @ k[first].reshape(-1, cout)
+    for r in rest:
+        out += _cols(win[:, :, :, r]) @ k[r].reshape(-1, cout)
     return out.reshape(*win.shape[:3], cout)
+
+
+def _add_kernel_grad(kernel, xb, g, stride, pad):
+    """Add conv2d's kernel gradient im2col(xb)^T @ g by kernel rows."""
+    kh, kw, _, cout = kernel.shape
+    win = _windows(xb, kh, kw, stride, pad)
+    for r in _kernel_rows(win.shape, win.dtype):
+        _add_product(kernel, _cols(win[:, :, :, r]).T, g.reshape(-1, cout), r)
 
 
 def conv2d(x, kernel, stride=1, pad=0):
@@ -628,12 +636,18 @@ def conv2d(x, kernel, stride=1, pad=0):
         if pending is not None:
             pending.append((xb, g))
         elif kernel.requires_grad:
-            _add_product(kernel, _cols(_windows(xb, kh, kw, stride, pad)).T,
-                         g.reshape(-1, cout))
+            _add_kernel_grad(kernel, xb, g, stride, pad)
         if x.requires_grad:
-            gcols = g.reshape(-1, cout) @ kernel.data.reshape(-1, cout).T
-            gp = _col2im(gcols.reshape(n, ho, wo, kh, kw, cin),
-                         h + 2 * pad, w + 2 * pad, stride)
+            # col2im by kernel-row groups, tap by tap (conv_transpose2d's
+            # sub-pixel form re-lays out the kernel per call, and is slower)
+            gp = np.zeros((n, h + 2 * pad, w + 2 * pad, cin), g.dtype)
+            for r in _kernel_rows((n, ho, wo, kh, kw, cin), g.dtype):
+                cols = (g.reshape(-1, cout) @ kernel.data[r].reshape(
+                    -1, cout).T).reshape(n, ho, wo, -1, kw, cin)
+                for di, dj in np.ndindex(cols.shape[3], kw):
+                    gp[:, r.start + di:r.start + di + stride * ho:stride,
+                       dj:dj + stride * wo:stride] += cols[:, :, :, di, dj]
+                del cols  # before the next group's product is formed
             x.accumulate(gp[:, pad:pad + h, pad:pad + w, :])
 
     return _make(out, backward, x.requires_grad or kernel.requires_grad)

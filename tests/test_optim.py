@@ -1,5 +1,6 @@
 """Optimizer, initializer, and seed-resolution tests."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -451,6 +452,25 @@ def test_factored_adam_matches_whole_array_loop(monkeypatch):
                 assert all(p.factors is not None for p in _matrices(params))
             opt.step(params.all())
         _assert_same_params(sides[0].all(), sides[1].all())
+
+
+def test_product_runs_round_as_the_whole_product(monkeypatch):
+    # a one-row GEMM is a GEMV, which sums in another order. With blocks of
+    # 64 elements, rows of 100 are longer than a block and 3 or 7 rows of
+    # 30 come in runs of 2 with one row left over: every run must still
+    # have 2+ rows, byte-equal to the one GEMM Parameter.grad forms
+    monkeypatch.setattr(optim, "PRODUCT_BLOCK", 64)
+    rng = np.random.default_rng(46)
+    for rows, n, k in itertools.product((1, 2, 3, 7, 12), (3, 30, 100),
+                                        (5, 64)):
+        a = rng.standard_normal((k, rows)).astype(np.float32)
+        b = rng.standard_normal((k, n)).astype(np.float32)
+        bufs = [np.empty(size, np.float32) for size in (8, 8, 64)]
+        P = Parameter("P", np.zeros((rows, n), np.float32))
+        formed = np.concatenate([g.copy() for _, g in
+                                 optim._gradient_blocks(P, (a, b), bufs)])
+        P.factors = a, b
+        assert formed.tobytes() == P.grad.tobytes(), (rows, n, k)
 
 
 def test_parameter_without_gradient_gets_no_grad_array():

@@ -2,6 +2,7 @@
 softmax, and the gradient checker itself."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -82,6 +83,75 @@ def test_conv2d_large_forward_one_kernel_row_at_a_time():
               for i in range(3) for j in range(3))
     assert out.dtype == np.float32
     np.testing.assert_allclose(out, ref, rtol=0, atol=1e-5 * abs(ref).max())
+
+
+def _split_case(dtype):
+    """A loss over conv2d at stride 1 and 2, a kernel at two geometries
+    (the second flush adds to a grad that is no longer fresh) and tanh(K),
+    no Parameter, whose kernel gradient is formed during the sweep."""
+    rng = np.random.default_rng(43)
+    x = Parameter("x", rng.standard_normal((2, 6, 6, 3)).astype(dtype))
+    K = Parameter("K", rng.standard_normal((3, 3, 3, 4)).astype(dtype))
+    y = Tensor(rng.standard_normal((1, 5, 5, 3)).astype(dtype))
+    ws = [Tensor(rng.standard_normal(s).astype(dtype))
+          for s in ((2, 6, 6, 4), (2, 2, 2, 4), (1, 5, 5, 4))]
+
+    def loss():
+        return (T.tensor_sum(T.conv2d(x, K, stride=1, pad=1) * ws[0])
+                + T.tensor_sum(T.conv2d(x, T.tanh(K), stride=2, pad=0)
+                               * ws[1])
+                + T.tensor_sum(T.conv2d(y, K, stride=1, pad=1) * ws[2]))
+
+    return loss, [x, K]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_conv2d_split_gradients_are_the_whole_path_bytes(monkeypatch, dtype):
+    # no checked shape reaches the split size, so a size of 0 forces it:
+    # each gradient element sums the same terms in the same order either
+    # way (the forward's row products are summed, so its bytes may differ)
+    sides = []
+    for split in (T._COLS_SPLIT_BYTES, 0):
+        monkeypatch.setattr(T, "_COLS_SPLIT_BYTES", split)
+        loss, params = _split_case(dtype)
+        with Tape() as tape:
+            tape.backward(loss())
+        sides.append([p.grad.tobytes() for p in params])
+    assert sides[0] == sides[1]
+
+
+def test_conv2d_split_gradients_grad_check(monkeypatch):
+    monkeypatch.setattr(T, "_COLS_SPLIT_BYTES", 0)
+    loss, params = _split_case(np.float64)
+    assert grad_check(loss, params) <= 1e-4
+
+
+def test_conv2d_large_backward_one_kernel_row_at_a_time():
+    """The sweep's input gradient and the flush's kernel gradient each hold
+    one kernel row's 5.7 MB matrix, not the whole 17.2 MB one, beside the
+    padded input gradient (or the padded input), the output gradient the
+    conv's entry keeps and x's own grad."""
+    rng = np.random.default_rng(44)
+    x = Tensor(rng.standard_normal((20, 7, 7, 512)).astype(np.float32),
+               requires_grad=True)
+    K = Parameter("K", rng.standard_normal((3, 3, 512, 384)).astype(
+        np.float32))
+    K.grad = np.ones_like(K.data)
+    AdamState(lr=0.0).step([K])  # a fresh grad, written in place
+    w = Tensor(rng.standard_normal((20, 7, 7, 384)).astype(np.float32))
+    with Tape() as tape:
+        loss = T.tensor_sum(T.conv2d(x, K, stride=1, pad=1) * w)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tape.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+    row, padded = 20 * 49 * 3 * 512 * 4, 20 * 9 * 9 * 512 * 4
+    assert row * 3 > T._COLS_SPLIT_BYTES
+    assert peak <= row + padded + w.data.nbytes + x.data.nbytes + (1 << 16)
+    assert K.grad.shape == K.shape and x.grad.shape == x.shape
 
 
 # ---------------------------------------------------------------------------
@@ -544,9 +614,18 @@ def test_backward_frees_intermediate_grads():
     P = Parameter("P", rng.standard_normal((3, 4)))
     x = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
     with Tape() as tape:
-        h = T.tanh(T.matmul(P, x))
-        tape.backward(T.tensor_sum(h * h))
+        m = T.matmul(P, x)
+        product = weakref.ref(m.data)
+        h = T.tanh(m)
+        del m
+        loss = T.tensor_sum(h * h)
+        tape.backward(loss)
+    # the sweep drops each node's closure, so the product that only tanh's
+    # backward needed is freed while loss (and h) are still held
+    assert product() is None
     assert h.grad is None
+    with pytest.raises(GeanError, match="already swept"):
+        tape.backward(loss)
     expect = P.data.T @ (2 * h.data * (1 - h.data ** 2))
     np.testing.assert_allclose(x.grad, expect, rtol=1e-13, atol=1e-13)
     np.testing.assert_allclose(
